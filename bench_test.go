@@ -389,12 +389,32 @@ func BenchmarkMajorityVote32(b *testing.B) {
 	bank := data.MustLoad(data.MMLURedux, 7)
 	tw := llm.NewTwin(model.MustLookup(model.DSR1Qwen14B), bank, 7)
 	b.ReportAllocs()
+	b.ResetTimer() // keep the bank load out of allocs/op at -benchtime 1x
 	for i := 0; i < b.N; i++ {
 		gens, err := tw.GenerateVotes(bank.Questions[i%bank.Size()], control.HardLimit(128), 32)
 		if err != nil {
 			b.Fatal(err)
 		}
 		tts.MajorityVote(gens)
+	}
+}
+
+// BenchmarkTwinFig9Sweep is Fig 9's access pattern on the llm twin: one
+// fresh twin per op sweeps SF 1…32 over the first 100 MMLU-Redux
+// questions under a 128-token hard budget, so every question is asked at
+// six scaling factors. A fresh twin per op keeps allocs/op independent
+// of b.N.
+func BenchmarkTwinFig9Sweep(b *testing.B) {
+	bank := data.MustLoad(data.MMLURedux, 7)
+	sub := bank.Subsample(100)
+	spec := model.MustLookup(model.DSR1Qwen14B)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tw := llm.NewTwin(spec, bank, 7)
+		if _, err := tts.Sweep(tw, sub, control.HardLimit(128), tts.PaperScalingFactors()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

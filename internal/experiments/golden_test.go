@@ -22,12 +22,15 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // (guarding the host-tier verify marks — starved-point hit rate, warm
 // tail TTFT, token identity), and the outage drills (guarding the
 // recovery verify marks — retry+health beating abandonment on served
-// and hit rate at every fault point, with exact conservation).
+// and hit rate at every fault point, with exact conservation), and the
+// two llm-twin drivers, Fig 9's majority-voting sweep and Table XII's
+// budget ladder (guarding the twin's sampled lengths and answers, which
+// no serving golden reaches).
 // Regenerate intentionally with
 //
 //	go test ./internal/experiments -run TestGoldenReports -update
 func TestGoldenReports(t *testing.T) {
-	for _, id := range []string{"sched", "fleet", "sessions", "tiering", "autoscale", "saturate", "drills", "breakdown"} {
+	for _, id := range []string{"sched", "fleet", "sessions", "tiering", "autoscale", "saturate", "drills", "breakdown", "fig9", "table12"} {
 		t.Run(id, func(t *testing.T) {
 			tables, err := Run(id, Options{Seed: 7, Quick: true})
 			if err != nil {

@@ -27,6 +27,9 @@ type Generation struct {
 
 // Twin samples generations that statistically match one model's measured
 // behaviour on one benchmark.
+//
+// A Twin is not safe for concurrent use: it memoizes censored-length
+// solves across calls. Build one per goroutine.
 type Twin struct {
 	Spec  model.Spec
 	Bench data.Benchmark
@@ -36,6 +39,11 @@ type Twin struct {
 	meanDifficulty float64
 	// difficultySlope couples per-question accuracy to difficulty.
 	difficultySlope float64
+	// muCache memoizes solveCensoredMu on its exact (target, sigma, cap)
+	// inputs, allocated on first use. A question's target depends only on
+	// the question and the policy, so a parallel-scaling sweep re-asking
+	// it at every scaling factor solves the root once.
+	muCache map[[3]float64]float64
 }
 
 // NewTwin builds a twin for a model on a benchmark bank. The bank is used
@@ -111,19 +119,43 @@ func (t *Twin) pCorrect(q data.Question, beh Behavior, rng *stats.RNG) float64 {
 	return rng.Beta(nu*mu, nu*(1-mu))
 }
 
-// sampleLength draws the output length for one question: lognormal around
-// the calibrated mean (hard policies solve the censored-mean inversion so
-// the post-truncation mean still matches the table), correlated with
-// difficulty (harder questions think longer).
-func (t *Twin) sampleLength(q data.Question, beh Behavior, pol control.Policy, rng *stats.RNG) (tokens int, truncated bool) {
+// lengthTarget is the question's mean output length: the calibrated
+// mean, correlated with difficulty (harder questions think longer).
+func (t *Twin) lengthTarget(q data.Question, beh Behavior) float64 {
 	diffFactor := 0.75 + 0.5*(q.Difficulty-t.meanDifficulty+0.5)
 	target := beh.MeanTokens * diffFactor
 	if target < 1 {
 		target = 1
 	}
-	cap := pol.Cap()
+	return target
+}
+
+// censoredMu returns the lognormal location whose mean, censored at cap,
+// equals target (see solveCensoredMu), memoized per Twin. It returns 0
+// without solving when no draw needs it: uncapped policies sample the
+// plain lognormal, and a target at or above 0.995·cap samples the cap.
+func (t *Twin) censoredMu(target, sigma float64, cap int) float64 {
+	if cap <= 0 || target >= float64(cap)*0.995 {
+		return 0
+	}
+	key := [3]float64{target, sigma, float64(cap)}
+	if mu, ok := t.muCache[key]; ok {
+		return mu
+	}
+	mu := solveCensoredMu(target, sigma, float64(cap))
+	if t.muCache == nil {
+		t.muCache = make(map[[3]float64]float64)
+	}
+	t.muCache[key] = mu
+	return mu
+}
+
+// sampleLength draws one branch's output length: lognormal around target,
+// and for hard policies censored at cap with location mu (from
+// censoredMu), so the post-truncation mean still matches the table.
+func sampleLength(target, mu, sigma float64, cap int, rng *stats.RNG) (tokens int, truncated bool) {
 	if cap > 0 {
-		raw := censoredLogNormalSample(rng, target, beh.Sigma, float64(cap))
+		raw := censoredLogNormalSample(rng, target, mu, sigma, float64(cap))
 		n := int(math.Round(raw))
 		if n < 1 {
 			n = 1
@@ -133,7 +165,7 @@ func (t *Twin) sampleLength(q data.Question, beh Behavior, pol control.Policy, r
 		}
 		return n, false
 	}
-	n := int(math.Round(rng.LogNormalMean(target, beh.Sigma)))
+	n := int(math.Round(rng.LogNormalMean(target, sigma)))
 	if n < 1 {
 		n = 1
 	}
@@ -169,9 +201,14 @@ func (t *Twin) GenerateVotes(q data.Question, pol control.Policy, k int) ([]Gene
 	// accuracy is exactly p regardless of the correlation.
 	modal := sampleAnswer(q, p, -1, rng)
 
+	// Every branch shares the question's length distribution, so the
+	// censored-mean inversion runs at most once per call (and once per
+	// Twin for a repeated question).
+	target, cap := t.lengthTarget(q, beh), pol.Cap()
+	mu := t.censoredMu(target, beh.Sigma, cap)
 	out := make([]Generation, k)
 	for i := range out {
-		tokens, truncated := t.sampleLength(q, beh, pol, rng)
+		tokens, truncated := sampleLength(target, mu, beh.Sigma, cap, rng)
 		g := Generation{OutputTokens: tokens, Truncated: truncated}
 		g.ThinkTokens, g.AnswerTokens = splitThinkAnswer(t.Spec, pol, tokens)
 		if k > 1 && rng.Bernoulli(beh.VoteCorr) {
@@ -236,19 +273,23 @@ func normCDF(x float64) float64 {
 
 // censoredMean returns E[min(X, c)] for X ~ LogNormal(mu, sigma).
 func censoredMean(mu, sigma, c float64) float64 {
-	lc := math.Log(c)
+	return censoredMeanLog(mu, sigma, c, math.Log(c))
+}
+
+// censoredMeanLog is censoredMean with lc = log(c) precomputed.
+func censoredMeanLog(mu, sigma, c, lc float64) float64 {
 	m := math.Exp(mu + sigma*sigma/2)
 	return m*normCDF((lc-mu-sigma*sigma)/sigma) + c*(1-normCDF((lc-mu)/sigma))
 }
 
-// censoredLogNormalSample draws min(X, cap) where X's parameters are
-// solved (by bisection on mu) so that E[min(X, cap)] equals targetMean.
-// When targetMean is at or above the cap the sample is the cap itself.
-func censoredLogNormalSample(rng *stats.RNG, targetMean, sigma, cap float64) float64 {
+// censoredLogNormalSample draws min(X, cap) for X ~ LogNormal(mu, sigma),
+// where mu is the caller's solveCensoredMu(targetMean, sigma, cap), so
+// that E[min(X, cap)] equals targetMean. When targetMean is at or above
+// the cap the sample is the cap itself and no normal is drawn.
+func censoredLogNormalSample(rng *stats.RNG, targetMean, mu, sigma, cap float64) float64 {
 	if targetMean >= cap*0.995 {
 		return cap
 	}
-	mu := solveCensoredMu(targetMean, sigma, cap)
 	x := math.Exp(mu + sigma*rng.NormFloat64())
 	if x > cap {
 		return cap
@@ -256,13 +297,21 @@ func censoredLogNormalSample(rng *stats.RNG, targetMean, sigma, cap float64) flo
 	return x
 }
 
-// solveCensoredMu inverts censoredMean over mu via bisection.
+// solveCensoredMu inverts censoredMean over mu via bisection. lo always
+// satisfies censoredMean < target and hi never does, so once the bracket
+// is two adjacent doubles (mid rounds onto an end) every remaining step
+// would leave it unchanged: stopping there returns the same bits as
+// running all 60 steps.
 func solveCensoredMu(target, sigma, c float64) float64 {
+	lc := math.Log(c)
 	lo := math.Log(target) - sigma*sigma/2 - 2 // censored mean < uncensored
-	hi := math.Log(c) + 4*sigma                // pushes censored mean -> c
+	hi := lc + 4*sigma                         // pushes censored mean -> c
 	for i := 0; i < 60; i++ {
 		mid := (lo + hi) / 2
-		if censoredMean(mid, sigma, c) < target {
+		if mid == lo || mid == hi {
+			break
+		}
+		if censoredMeanLog(mid, sigma, c, lc) < target {
 			lo = mid
 		} else {
 			hi = mid

@@ -233,3 +233,109 @@ func TestSolveCensoredMuRoundTrip(t *testing.T) {
 		t.Errorf("round trip: censoredMean(solve(%v)) = %v", target, got)
 	}
 }
+
+// solveCensoredMuReference is the original solver, verbatim: 60 bisection
+// steps with log(c) recomputed inside censoredMean on every step. The
+// production solver must return the same bits.
+func solveCensoredMuReference(target, sigma, c float64) float64 {
+	lo := math.Log(target) - sigma*sigma/2 - 2 // censored mean < uncensored
+	hi := math.Log(c) + 4*sigma                // pushes censored mean -> c
+	for i := 0; i < 60; i++ {
+		mid := (lo + hi) / 2
+		if censoredMean(mid, sigma, c) < target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// The early exit and the hoisted log must not change a single bit of the
+// root anywhere the twin can ask for one: every calibrated sigma (plus a
+// few off-table spreads), hard caps from 128 to 4096 tokens, and targets
+// from 1 token up to the 0.995·cap solve threshold.
+func TestSolveCensoredMuBitIdentical(t *testing.T) {
+	sigmaSet := map[float64]bool{0.2: true, 0.3: true, 0.6: true, 0.8: true}
+	for _, beh := range calibration {
+		sigmaSet[beh.Sigma] = true
+	}
+	sigmas := make([]float64, 0, len(sigmaSet))
+	for s := range sigmaSet {
+		sigmas = append(sigmas, s)
+	}
+	caps := []float64{128, 200, 256, 384, 512, 1000, 1024, 2048, 3000, 4096}
+	checked := 0
+	for _, sigma := range sigmas {
+		for _, c := range caps {
+			limit := c * 0.995
+			targets := []float64{1, 1.5, math.Nextafter(limit, 0)}
+			for i := 1; i < 200; i++ {
+				targets = append(targets, limit*float64(i)/200)
+			}
+			for _, target := range targets {
+				if target < 1 || target >= limit {
+					continue
+				}
+				got := solveCensoredMu(target, sigma, c)
+				want := solveCensoredMuReference(target, sigma, c)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("solveCensoredMu(%v, %v, %v) = %v (%#x), reference %v (%#x)",
+						target, sigma, c, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 10000 {
+		t.Fatalf("grid checked only %d roots", checked)
+	}
+}
+
+// Memoizing the root per Twin must not make a question's generations
+// depend on what the Twin was asked before: a fresh Twin, a warm one
+// asked the same thing again, and one that first sampled the question at
+// SF 1 all produce identical SF-32 branches.
+func TestGenerateVotesIndependentOfCache(t *testing.T) {
+	bank := data.MustLoad(data.MMLURedux, testSeed)
+	spec := model.MustLookup(model.DSR1Qwen14B)
+	pol := control.HardLimit(128)
+	warm := NewTwin(spec, bank, testSeed)
+	primed := NewTwin(spec, bank, testSeed)
+	for _, q := range bank.Questions[:20] {
+		fresh, err := NewTwin(spec, bank, testSeed).GenerateVotes(q, pol, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := warm.GenerateVotes(q, pol, 32); err != nil {
+			t.Fatal(err)
+		}
+		again, err := warm.GenerateVotes(q, pol, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := primed.GenerateVotes(q, pol, 1); err != nil {
+			t.Fatal(err)
+		}
+		afterSF1, err := primed.GenerateVotes(q, pol, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range fresh {
+			if again[i] != fresh[i] || afterSF1[i] != fresh[i] {
+				t.Fatalf("q%d branch %d: fresh %+v, warm %+v, after SF 1 %+v",
+					q.Index, i, fresh[i], again[i], afterSF1[i])
+			}
+		}
+	}
+	// Every sampled question fell below the solve threshold, so each
+	// cached one root, and the cached value is the reference solve's.
+	if len(warm.muCache) != 20 {
+		t.Fatalf("warm twin cached %d roots for 20 questions", len(warm.muCache))
+	}
+	for key, mu := range warm.muCache {
+		if want := solveCensoredMuReference(key[0], key[1], key[2]); math.Float64bits(mu) != math.Float64bits(want) {
+			t.Errorf("cached root for %v = %v, reference %v", key, mu, want)
+		}
+	}
+}

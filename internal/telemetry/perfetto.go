@@ -132,9 +132,14 @@ func spanEvents(s Span, pid int) []chromeEvent {
 	if len(args) == 0 {
 		args = nil
 	}
+	// The duration is the difference of the exported endpoints, not the
+	// scaled span length: whenever dur <= ts the subtraction is exact, so
+	// ts+dur lands on End*secToUS bit for bit and a child ending with its
+	// parent cannot overshoot it by an ulp (which exceeds nestEps past
+	// 2^33 µs of simulated time).
 	ev := chromeEvent{
 		Name: name, Cat: s.Kind, Ph: "X",
-		Ts: s.Start * secToUS, Dur: s.Dur() * secToUS,
+		Ts: s.Start * secToUS, Dur: s.End*secToUS - s.Start*secToUS,
 		Pid: pid, Tid: s.Lane + 1, Args: args,
 	}
 	if s.End == s.Start {

@@ -187,6 +187,55 @@ func TestChromeTraceExportRoundTrip(t *testing.T) {
 	}
 }
 
+// Steady-state fleet traces run for hours of simulated time. Past 2^33
+// µs (~2.4 h) one ulp of a timestamp exceeds nestEps, so the exported
+// duration must reproduce each span's end exactly: a child ending with
+// its parent, or a request starting where the previous one ended, may
+// not overshoot by rounding.
+func TestChromeTraceNestsLateSpans(t *testing.T) {
+	tra := New(Config{})
+	r0 := tra.Track("r0")
+	start := 28809.84 // 2.88e10 µs, where one ulp is ~3.8e-6 µs
+	for i := 0; i < 400; i++ {
+		mid := start + 0.0173*float64(1+i%7)
+		end := mid + 0.311 + 0.0029*float64(i%11)
+		r0.Record(Span{ID: "q", Kind: KindRequest, Start: start, End: end})
+		r0.Record(Span{ID: "q", Kind: KindPrefill, Start: start, End: mid})
+		r0.Record(Span{ID: "q", Kind: KindDecode, Start: mid, End: end})
+		start = end // back to back: the next request starts as this one ends
+	}
+	var buf bytes.Buffer
+	if err := tra.WriteChromeTrace(&buf); err != nil {
+		t.Fatalf("WriteChromeTrace: %v", err)
+	}
+	if err := ValidateChromeTrace(buf.Bytes()); err != nil {
+		t.Fatalf("late spans fail validation: %v", err)
+	}
+	var doc struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	ends := map[float64]bool{}
+	for _, s := range r0.Spans() {
+		ends[s.End*secToUS] = true
+	}
+	spans := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		spans++
+		if !ends[ev.Ts+ev.Dur] {
+			t.Fatalf("span %q at ts %v: ts+dur = %v is no recorded span end", ev.Name, ev.Ts, ev.Ts+ev.Dur)
+		}
+	}
+	if spans != 1200 {
+		t.Fatalf("exported %d complete spans, want 1200", spans)
+	}
+}
+
 func TestValidateChromeTraceRejectsMalformed(t *testing.T) {
 	if err := ValidateChromeTrace([]byte(`{"traceEvents": []}`)); err == nil {
 		t.Fatal("empty trace accepted")

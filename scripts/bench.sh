@@ -22,8 +22,11 @@
 # TracedServeOn records the live-tracing cost for information), and
 # the million-request streamed soak (engine.ServeSource over a lazy
 # workload source; sim-events/s and live heap ride along as custom
-# metrics). Only allocs/op is gated — it is deterministic across machines — while ns/op
-# is recorded for the before/after table in the README. The
+# metrics), and the llm twin (BenchmarkMajorityVote32: one SF-32 vote on
+# a warm twin; BenchmarkTwinFig9Sweep: a fresh twin sweeping Fig 9's
+# scaling factors over 100 questions). Only allocs/op is gated — it is
+# deterministic across machines — while ns/op is recorded for the
+# before/after table in the README. The
 # pre-optimization reference in BENCH_serve.json's "pre_pr" section is
 # preserved across updates, and each update also appends a per-PR
 # "history" entry tagged with the commit the measurement was taken at,
@@ -45,6 +48,8 @@ run_benches() {
     -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/kvcache
   go test -run '^$' -bench 'BenchmarkAutoscaleServe$|BenchmarkChaosServe$' \
     -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/fleet
+  go test -run '^$' -bench 'BenchmarkMajorityVote32$|BenchmarkTwinFig9Sweep$' \
+    -benchmem -benchtime "$BENCHTIME" -count 1 .
 }
 
 case "$MODE" in
