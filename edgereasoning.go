@@ -227,7 +227,10 @@ type BatchResult struct {
 
 // ServeBatch runs n identical requests through the engine with continuous
 // batching up to maxBatch concurrent decoders — the §III-B batching study
-// (Table III compares batch 1 against batch 30).
+// (Table III compares batch 1 against batch 30). The batch goes through
+// the engine's one serving loop with every request arriving at once, so
+// its energy is keyed on each request's own run length exactly as in an
+// open-loop serve.
 func (d *Deployment) ServeBatch(n, promptTokens, outputTokens, maxBatch int) (BatchResult, error) {
 	reqs := make([]engine.Request, n)
 	for i := range reqs {

@@ -3,6 +3,10 @@
 // batching over a paged KV cache, and accounts wall time, power, and
 // energy through the GPU simulator. It is the substrate every
 // latency/energy experiment in the paper runs on.
+//
+// ServeSource is the engine's one admission/decode loop. Serve, Run and
+// Generate are wrappers over it: an open-loop slice, a closed batch with
+// every arrival at the current clock, and a batch of one.
 package engine
 
 import (
@@ -312,7 +316,19 @@ func (e *Engine) decodeChunk(ctxs []int, n int) gpusim.Result {
 	return res
 }
 
-// Generate executes one request in isolation (batch 1).
+// blocksFor mirrors the cache's page arithmetic for admission control:
+// the KV blocks a sequence of the given length occupies.
+//
+//edgereasoning:hotpath bench=BenchmarkServeHotLoop
+func (e *Engine) blocksFor(tokens int) int {
+	if tokens <= 0 {
+		return 0
+	}
+	return (tokens + e.cfg.BlockSize - 1) / e.cfg.BlockSize
+}
+
+// Generate executes one request in isolation: Run of that one request at
+// batch 1.
 func (e *Engine) Generate(req Request) (Metrics, error) {
 	b, err := e.Run([]Request{req}, 1)
 	if err != nil {
@@ -332,9 +348,12 @@ type activeSeq struct {
 	metrics   Metrics
 	arrival   float64
 	deadline  float64
-	// slot is the arena index this sequence occupies, so the streaming
-	// serve loop can return it to the free list on completion (Run's
-	// one-shot arena leaves it zero).
+	// residency is the request's DVFS residency factor, keyed on its own
+	// run length (OutputTokens) once at admission, so decode energy does
+	// not depend on how the loop happens to chunk the run.
+	residency float64
+	// slot is the arena index this sequence occupies, so the serve loop
+	// can return it to the free list on completion.
 	slot int
 	// admitAt is the clock at the admission decision (the request span's
 	// start when tracing); session carries the request's session tag for
@@ -379,284 +398,18 @@ func reap(active []*activeSeq, finish func(*activeSeq) error) ([]*activeSeq, err
 	return kept, nil
 }
 
-// Run executes requests FCFS with continuous batching up to maxBatch
-// concurrent decoders. Prefill is unbatched (the paper's configuration);
-// decode advances in closed-form chunks between admission and completion
-// events, with chunk energy attributed to active sequences equally. The
-// loop is O(events), not O(tokens): KV accounting advances whole chunks
-// through resolved handles and admission headroom is an incrementally
-// maintained counter.
+// Run executes reqs FCFS with continuous batching up to maxBatch
+// concurrent decoders. It is ServeSource over the requests with every
+// arrival at the current clock, so a closed batch and an open-loop stream
+// share one admission/decode loop and one energy accounting. Requests are
+// reported in completion order.
 func (e *Engine) Run(reqs []Request, maxBatch int) (BatchMetrics, error) {
-	if maxBatch <= 0 {
-		maxBatch = 1
+	timed := make([]TimedRequest, len(reqs))
+	for i, r := range reqs {
+		timed[i] = TimedRequest{Request: r, Arrival: e.clock}
 	}
-	queue := reqs // only re-sliced, never mutated
-	active := make([]*activeSeq, 0, maxBatch)
-	// One arena allocation covers every sequence's bookkeeping; slots are
-	// handed out at admission and the backing array never reallocates, so
-	// the *activeSeq pointers in the active set stay stable.
-	arena := make([]activeSeq, len(reqs))
-	admitted := 0
-	var out BatchMetrics
-	out.Requests = make([]Metrics, 0, len(reqs))
-	start := e.clock
-
-	finish := func(s *activeSeq) error {
-		if err := e.cache.FreeH(s.handle); err != nil {
-			return err
-		}
-		out.Requests = append(out.Requests, s.metrics)
-		out.TotalTokens += s.req.PromptTokens + s.req.OutputTokens
-		return nil
-	}
-
-	// blocksFor mirrors the cache's page arithmetic for admission control.
-	blocksFor := func(tokens int) int {
-		if tokens <= 0 {
-			return 0
-		}
-		return (tokens + e.cfg.BlockSize - 1) / e.cfg.BlockSize
-	}
-	// futureGrowth is the worst-case block demand of the active set's
-	// remaining decode. Admission reserves against it so a request can
-	// never exhaust the cache mid-decode (the simulator's stand-in for
-	// vLLM's preemption machinery). It is adjusted on admit and append —
-	// a sequence's contribution is blocksFor(total) − blocksFor(ctx),
-	// which reaches zero exactly when it finishes — instead of rescanned
-	// per admission attempt.
-	futureGrowth := 0
-	ctxs := make([]int, 0, maxBatch) // scratch, reused every decode event
-
-	for len(queue) > 0 || len(active) > 0 {
-		// Admit while there is room.
-		for len(queue) > 0 && len(active) < maxBatch {
-			req := queue[0]
-			if req.PromptTokens <= 0 {
-				return out, fmt.Errorf("engine: request %q has no prompt", req.ID)
-			}
-			worstCase := blocksFor(req.PromptTokens + req.OutputTokens)
-			if worstCase+futureGrowth > e.cache.FreeBlocks() {
-				if len(active) > 0 {
-					break // drain the active set to free capacity first
-				}
-				return out, fmt.Errorf("engine: request %q (%d tokens) exceeds KV capacity even alone",
-					req.ID, req.PromptTokens+req.OutputTokens)
-			}
-			if err := e.cache.AllocateReserve(req.ID, req.PromptTokens,
-				req.PromptTokens+req.OutputTokens); err != nil {
-				return out, fmt.Errorf("engine: admit %q: %w", req.ID, err)
-			}
-			queue = queue[1:]
-			s := &arena[admitted]
-			admitted++
-			*s = activeSeq{req: req, ctx: req.PromptTokens, remaining: req.OutputTokens}
-			h, err := e.cache.Lookup(req.ID)
-			if err != nil {
-				return out, fmt.Errorf("engine: admit %q: %w", req.ID, err)
-			}
-			s.handle = h
-			// The final length is known up front; reserving the block
-			// table now keeps the whole decode allocation-free.
-			if err := e.cache.ReserveH(h, req.PromptTokens+req.OutputTokens); err != nil {
-				return out, fmt.Errorf("engine: admit %q: %w", req.ID, err)
-			}
-			futureGrowth += worstCase - blocksFor(req.PromptTokens)
-			s.metrics = Metrics{ID: req.ID, PromptTokens: req.PromptTokens, OutputTokens: req.OutputTokens}
-			s.metrics.QueueTime = e.clock - start
-			res, err := e.prefill(req.PromptTokens)
-			if err != nil {
-				return out, err
-			}
-			e.clock += res.Time
-			s.metrics.PrefillTime = res.Time
-			s.metrics.PrefillEnergy = e.meter.Energy(res)
-			out.TotalEnergy += e.meter.Energy(res)
-			active = append(active, s)
-		}
-		if len(active) == 0 {
-			break
-		}
-		// Decode until the next event: shortest remaining completes, or a
-		// queued request wants admission (chunk at most admitGrain steps
-		// so admission latency stays bounded).
-		chunk := active[0].remaining
-		for _, s := range active {
-			if s.remaining < chunk {
-				chunk = s.remaining
-			}
-		}
-		if chunk <= 0 {
-			// Zero-output request(s): finish immediately.
-			var err error
-			if active, err = reap(active, finish); err != nil {
-				return out, err
-			}
-			continue
-		}
-		if len(queue) > 0 && len(active) < maxBatch {
-			const admitGrain = 32
-			if chunk > admitGrain {
-				chunk = admitGrain
-			}
-		}
-		ctxs = ctxs[:0]
-		for _, s := range active {
-			ctxs = append(ctxs, s.ctx)
-		}
-		res := e.decodeChunk(ctxs, chunk)
-		energy := e.meter.Energy(res)
-		e.clock += res.Time
-		out.TotalEnergy += energy
-		perSeqTime := res.Time
-		perSeqEnergy := energy / float64(len(active))
-		for _, s := range active {
-			if err := e.cache.AppendTokensH(s.handle, chunk); err != nil {
-				return out, fmt.Errorf("engine: decode %q: %w", s.req.ID, err)
-			}
-			futureGrowth -= blocksFor(s.ctx+chunk) - blocksFor(s.ctx)
-			s.ctx += chunk
-			s.remaining -= chunk
-			s.metrics.DecodeTime += perSeqTime
-			s.metrics.DecodeEnergy += perSeqEnergy
-		}
-		var err error
-		if active, err = reap(active, finish); err != nil {
-			return out, err
-		}
-	}
-	out.WallTime = e.clock - start
-	out.PeakKVBlocks = e.cache.PeakUsed()
-	return out, nil
-}
-
-// RunParallel implements parallel test-time scaling (§V-E): one prefill
-// at batch 1, then the prompt KV is forked copy-on-write to `factor`
-// decoders which run as one batch. outputs gives each branch's generated
-// length. The returned metrics hold one entry per branch; branch 0 owns
-// the prefill cost.
-func (e *Engine) RunParallel(promptTokens int, outputs []int) (BatchMetrics, error) {
-	if promptTokens <= 0 {
-		return BatchMetrics{}, fmt.Errorf("engine: empty prompt")
-	}
-	if len(outputs) == 0 {
-		return BatchMetrics{}, fmt.Errorf("engine: no branches")
-	}
-	var out BatchMetrics
-	start := e.clock
-
-	// Capacity precheck: the shared prompt plus every branch's private
-	// decode growth must fit, or the fan-out would die mid-decode.
-	blocksFor := func(tokens int) int {
-		if tokens <= 0 {
-			return 0
-		}
-		return (tokens + e.cfg.BlockSize - 1) / e.cfg.BlockSize
-	}
-	need := blocksFor(promptTokens)
-	for _, o := range outputs {
-		// Each branch copies the shared tail block on first write and
-		// then grows privately.
-		need += blocksFor(promptTokens+o) - blocksFor(promptTokens) + 1
-	}
-	if need > e.cache.FreeBlocks() {
-		return out, fmt.Errorf("engine: parallel fan-out of %d branches needs %d KV blocks, %d free",
-			len(outputs), need, e.cache.FreeBlocks())
-	}
-
-	root := "par-0"
-	if err := e.cache.Allocate(root, promptTokens); err != nil {
-		return out, err
-	}
-	res, err := e.prefill(promptTokens)
-	if err != nil {
-		return out, err
-	}
-	e.clock += res.Time
-	prefillEnergy := e.meter.Energy(res)
-	out.TotalEnergy += prefillEnergy
-
-	type branch struct {
-		id        string
-		handle    kvcache.Handle
-		ctx       int
-		remaining int
-		m         Metrics
-	}
-	branches := make([]*branch, len(outputs))
-	for i := range outputs {
-		id := fmt.Sprintf("par-%d", i)
-		if i > 0 {
-			if err := e.cache.Fork(root, id); err != nil {
-				return out, err
-			}
-		}
-		h, err := e.cache.Lookup(id)
-		if err != nil {
-			return out, err
-		}
-		if err := e.cache.ReserveH(h, promptTokens+outputs[i]); err != nil {
-			return out, err
-		}
-		branches[i] = &branch{id: id, handle: h, ctx: promptTokens, remaining: outputs[i]}
-		branches[i].m = Metrics{ID: id, PromptTokens: promptTokens, OutputTokens: outputs[i]}
-	}
-	branches[0].m.PrefillTime = res.Time
-	branches[0].m.PrefillEnergy = prefillEnergy
-
-	activeIdx := make([]int, 0, len(branches))
-	for i := range branches {
-		if branches[i].remaining > 0 {
-			activeIdx = append(activeIdx, i)
-		} else {
-			out.Requests = append(out.Requests, branches[i].m)
-			out.TotalTokens += promptTokens + branches[i].m.OutputTokens
-			if err := e.cache.FreeH(branches[i].handle); err != nil {
-				return out, err
-			}
-		}
-	}
-	ctxs := make([]int, 0, len(activeIdx)) // scratch, reused every decode event
-	for len(activeIdx) > 0 {
-		chunk := branches[activeIdx[0]].remaining
-		for _, i := range activeIdx {
-			if branches[i].remaining < chunk {
-				chunk = branches[i].remaining
-			}
-		}
-		ctxs = ctxs[:0]
-		for _, i := range activeIdx {
-			ctxs = append(ctxs, branches[i].ctx)
-		}
-		dres := e.decodeChunk(ctxs, chunk)
-		energy := e.meter.Energy(dres)
-		e.clock += dres.Time
-		out.TotalEnergy += energy
-		perSeqEnergy := energy / float64(len(activeIdx))
-		next := activeIdx[:0]
-		for _, i := range activeIdx {
-			b := branches[i]
-			if err := e.cache.AppendTokensH(b.handle, chunk); err != nil {
-				return out, err
-			}
-			b.ctx += chunk
-			b.remaining -= chunk
-			b.m.DecodeTime += dres.Time
-			b.m.DecodeEnergy += perSeqEnergy
-			if b.remaining <= 0 {
-				out.Requests = append(out.Requests, b.m)
-				out.TotalTokens += promptTokens + b.m.OutputTokens
-				if err := e.cache.FreeH(b.handle); err != nil {
-					return out, err
-				}
-			} else {
-				next = append(next, i)
-			}
-		}
-		activeIdx = next
-	}
-	out.WallTime = e.clock - start
-	out.PeakKVBlocks = e.cache.PeakUsed()
-	return out, nil
+	sm, err := e.ServeSource(NewSliceSource(timed), maxBatch, FCFS, ServeOpts{SizeHint: len(reqs)})
+	return sm.BatchMetrics, err
 }
 
 // CacheStats exposes KV occupancy for tests and examples.
@@ -692,12 +445,4 @@ func (e *Engine) CrashResetPrefix(keepHost bool) {
 	if e.prefix != nil {
 		e.prefix.CrashReset(keepHost)
 	}
-}
-
-// SimDecodeProbe returns the raw simulator result of a representative
-// decode run at the given geometry, so callers can inspect utilization
-// and power signals without executing a request (used by the Fig 10
-// driver for the GPU-utilization axis).
-func (e *Engine) SimDecodeProbe(prompt, output, batch int) gpusim.Result {
-	return e.sim.DecodeRun(e.cfg.Spec.Arch, e.cfg.Spec.DType, prompt, output, batch)
 }

@@ -135,68 +135,6 @@ func TestBatchingSpeedsUpThroughput(t *testing.T) {
 	}
 }
 
-func TestRunParallelSharesPrefill(t *testing.T) {
-	e := newOrinEngine(t, model.DSR1Llama8B)
-	outputs := []int{128, 128, 128, 128}
-	b, err := e.RunParallel(512, outputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Requests) != 4 {
-		t.Fatalf("want 4 branches, got %d", len(b.Requests))
-	}
-	// Only branch 0 carries prefill cost.
-	prefills := 0
-	for _, m := range b.Requests {
-		if m.PrefillTime > 0 {
-			prefills++
-		}
-	}
-	if prefills != 1 {
-		t.Errorf("prefill charged to %d branches, want exactly 1", prefills)
-	}
-	if st := e.CacheStats(); st.UsedBlocks != 0 {
-		t.Errorf("leaked KV blocks: %+v", st)
-	}
-}
-
-// Fig 10a: parallel decode latency grows only mildly with SF.
-func TestRunParallelLatencySublinear(t *testing.T) {
-	lat := func(sf int) float64 {
-		e := newOrinEngine(t, model.DSR1Llama8B)
-		outputs := make([]int, sf)
-		for i := range outputs {
-			outputs[i] = 128
-		}
-		b, err := e.RunParallel(512, outputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b.WallTime
-	}
-	l1, l32 := lat(1), lat(32)
-	if l32 <= l1 {
-		t.Error("SF=32 must cost more than SF=1")
-	}
-	if l32/l1 > 2.5 {
-		t.Errorf("SF=32/SF=1 latency ratio = %.2f, paper reports <2x up to SF=64", l32/l1)
-	}
-}
-
-func TestRunParallelZeroOutputBranch(t *testing.T) {
-	e := newOrinEngine(t, model.DSR1Qwen1_5B)
-	b, err := e.RunParallel(64, []int{0, 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Requests) != 2 {
-		t.Fatalf("want 2 branches, got %d", len(b.Requests))
-	}
-	if st := e.CacheStats(); st.UsedBlocks != 0 {
-		t.Errorf("leaked KV blocks: %+v", st)
-	}
-}
-
 func TestRunRejectsEmptyPrompt(t *testing.T) {
 	e := newOrinEngine(t, model.DSR1Qwen1_5B)
 	if _, err := e.Run([]Request{{ID: "bad", PromptTokens: 0, OutputTokens: 5}}, 1); err == nil {
@@ -343,23 +281,6 @@ func TestOversizedRequestRejected(t *testing.T) {
 	}
 	if st := e.CacheStats(); st.UsedBlocks != 0 {
 		t.Errorf("rejection leaked blocks: %+v", st)
-	}
-}
-
-// An oversized parallel fan-out fails the precheck cleanly.
-func TestRunParallelCapacityPrecheck(t *testing.T) {
-	e := newOrinEngine(t, model.DSR1Qwen14B)
-	free := e.CacheStats().FreeBlocks
-	branches := free/4 + 10 // each branch needs > 4 blocks of growth
-	outputs := make([]int, branches)
-	for i := range outputs {
-		outputs[i] = 1024
-	}
-	if _, err := e.RunParallel(512, outputs); err == nil {
-		t.Fatal("oversized fan-out must be rejected")
-	}
-	if st := e.CacheStats(); st.UsedBlocks != 0 {
-		t.Errorf("precheck leaked blocks: %+v", st)
 	}
 }
 

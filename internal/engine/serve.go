@@ -257,10 +257,9 @@ func (q *readyQueue) insertEDF(tr TimedRequest) {
 
 // Serve executes an open-loop workload: requests become visible at their
 // arrival times, are admitted per the scheduling policy up to maxBatch
-// concurrent decoders, and complete under the same continuous-batching
-// loop as Run. The engine clock must be at or before the earliest
-// arrival. It is a thin collector over ServeSource; results are
-// element-identical to the historical slice implementation.
+// concurrent decoders, and complete under continuous batching. The engine
+// clock must be at or before the earliest arrival. It sorts a copy of
+// reqs by arrival and hands it to ServeSource.
 func (e *Engine) Serve(reqs []TimedRequest, maxBatch int, policy SchedPolicy) (ServeMetrics, error) {
 	pending := make([]TimedRequest, len(reqs))
 	copy(pending, reqs)
@@ -268,12 +267,22 @@ func (e *Engine) Serve(reqs []TimedRequest, maxBatch int, policy SchedPolicy) (S
 	return e.ServeSource(NewSliceSource(pending), maxBatch, policy, ServeOpts{SizeHint: len(reqs)})
 }
 
-// ServeSource is the streaming serve loop: requests are pulled from src
-// (non-decreasing Arrival order) as simulated time reaches them, so live
-// memory scales with the in-flight set — ready backlog plus maxBatch
-// active decoders — not the stream length. Per-run bookkeeping (sequence
-// arena, ready queue, decode scratch) is sized by maxBatch and recycled,
-// keeping the steady-state loop allocation-free.
+// admitGrain caps a decode chunk, in steps, whenever a request is pending
+// (queued or not yet arrived). It bounds admission latency: the loop
+// reconsiders admission at most admitGrain decode steps after a request
+// arrives. The cap also applies at full batch, where it admits nothing;
+// it stays there because dropping it would move every batched latency.
+const admitGrain = 16
+
+// ServeSource is the engine's one admission/decode loop: requests are
+// pulled from src (non-decreasing Arrival order) as simulated time
+// reaches them, so live memory scales with the in-flight set — ready
+// backlog plus maxBatch active decoders — not the stream length. Per-run
+// bookkeeping (sequence arena, ready queue, decode scratch) is sized by
+// maxBatch and recycled, keeping the steady-state loop allocation-free.
+// Prefill is unbatched (the paper's configuration); decode advances in
+// closed-form chunks between events, each chunk's energy shared equally
+// by its active sequences.
 func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts ServeOpts) (ServeMetrics, error) {
 	if maxBatch <= 0 {
 		maxBatch = 1
@@ -315,15 +324,11 @@ func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts 
 	}
 	out.Latencies = make([]float64, 0, opts.SizeHint)
 
-	blocksFor := func(tokens int) int {
-		if tokens <= 0 {
-			return 0
-		}
-		return (tokens + e.cfg.BlockSize - 1) / e.cfg.BlockSize
-	}
-	// futureGrowth reserves the active set's worst-case remaining block
-	// demand, maintained incrementally (admit adds, append subtracts)
-	// instead of rescanned per admission attempt.
+	// futureGrowth is the worst-case block demand of the active set's
+	// remaining decode. Admission reserves against it so a request can
+	// never exhaust the cache mid-decode (the simulator's stand-in for
+	// vLLM's preemption machinery). It is maintained incrementally (admit
+	// adds, append subtracts) instead of rescanned per admission attempt.
 	futureGrowth := 0
 	ctxs := make([]int, 0, maxBatch) // scratch, reused every decode event
 	promote := func() {
@@ -410,7 +415,7 @@ func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts 
 					delete(fx.CrashWipes, tr.ID)
 				}
 			}
-			worstCase := blocksFor(tr.PromptTokens + tr.OutputTokens)
+			worstCase := e.blocksFor(tr.PromptTokens + tr.OutputTokens)
 			// With a prefix cache, retained blocks are reclaimable
 			// capacity. Probe first — touching the matched chain makes it
 			// MRU, so eviction spares it — then evict cold prefixes until
@@ -477,7 +482,8 @@ func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts 
 			freeSlots = freeSlots[:len(freeSlots)-1]
 			s := &arena[slot]
 			*s = activeSeq{req: tr.Request, ctx: tr.PromptTokens, remaining: tr.OutputTokens,
-				arrival: tr.Arrival, deadline: tr.Deadline, slot: slot,
+				arrival: tr.Arrival, deadline: tr.Deadline,
+				residency: e.meter.Residency(tr.OutputTokens), slot: slot,
 				admitAt: e.clock, session: tr.SessionID}
 			if e.prefix != nil {
 				s.promptSyms, s.outputSyms = tr.PromptSyms, tr.OutputSyms
@@ -498,7 +504,7 @@ func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts 
 					return out, err
 				}
 			}
-			futureGrowth += worstCase - blocksFor(tr.PromptTokens)
+			futureGrowth += worstCase - e.blocksFor(tr.PromptTokens)
 			s.metrics = Metrics{ID: tr.ID, PromptTokens: tr.PromptTokens,
 				OutputTokens: tr.OutputTokens, CachedPromptTokens: matched,
 				RestoreTime: restore}
@@ -543,8 +549,8 @@ func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts 
 		if len(active) == 0 {
 			continue
 		}
-		// Decode until the next event: completion, arrival, or the
-		// admission grain.
+		// Decode until the next event: completion, or the admission grain
+		// while anything is pending.
 		chunk := active[0].remaining
 		for _, s := range active {
 			if s.remaining < chunk {
@@ -558,13 +564,14 @@ func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts 
 			}
 			continue
 		}
-		const admitGrain = 16
 		if (in.More() || ready.len() > 0) && chunk > admitGrain {
 			chunk = admitGrain
 		}
 		ctxs = ctxs[:0]
+		residency := 0.0
 		for _, s := range active {
 			ctxs = append(ctxs, s.ctx)
+			residency += s.residency
 		}
 		if fx != nil {
 			// No decode progress inside a stall window.
@@ -579,7 +586,10 @@ func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts 
 			}
 		}
 		res := e.decodeChunk(ctxs, chunk)
-		energy := e.meter.Energy(res)
+		// The chunk runs at the active sequences' mean residency factor,
+		// each keyed on its own run length, so splitting a run into more
+		// chunks changes neither its time nor its energy.
+		energy := e.meter.PowerAt(res, residency/float64(len(active))) * res.Time
 		throttleF := 1.0
 		if fx != nil {
 			// Thermal throttle: the chunk's tokens take Factor times as
@@ -599,7 +609,7 @@ func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts 
 			if err := e.cache.AppendTokensH(s.handle, chunk); err != nil {
 				return out, err
 			}
-			futureGrowth -= blocksFor(s.ctx+chunk) - blocksFor(s.ctx)
+			futureGrowth -= e.blocksFor(s.ctx+chunk) - e.blocksFor(s.ctx)
 			s.ctx += chunk
 			s.remaining -= chunk
 			s.metrics.DecodeTime += res.Time

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"edgereasoning/internal/model"
 )
 
 func quickOpts() Options { return Options{Seed: 7, Quick: true} }
@@ -184,6 +186,25 @@ func TestFig10ParallelShape(t *testing.T) {
 		if pow[m][32] <= pow[m][1] {
 			t.Errorf("%s: power must rise with SF", m)
 		}
+	}
+}
+
+// Fig 10a: parallel decode latency grows only mildly with SF. The shared
+// prompt is prefilled once, so SF=32 on DSR1-Llama-8B costs more than
+// SF=1 but at most 2.5x (the paper reports under 2x up to SF=64).
+func TestFig10LatencySublinear(t *testing.T) {
+	tb := findTable(t, runOne(t, "fig10"), "fig10")
+	lat := map[int]float64{}
+	for _, row := range tb.Rows {
+		if row[0] == string(model.DSR1Llama8B) {
+			lat[int(cellFloat(t, row[1]))] = cellFloat(t, row[2])
+		}
+	}
+	if lat[1] <= 0 {
+		t.Fatalf("no SF=1 row for %s", model.DSR1Llama8B)
+	}
+	if r := lat[32] / lat[1]; r <= 1 || r > 2.5 {
+		t.Errorf("%s SF32/SF1 decode latency = %.2f, want in (1, 2.5]", model.DSR1Llama8B, r)
 	}
 }
 

@@ -5,10 +5,11 @@ import (
 
 	"edgereasoning/internal/control"
 	"edgereasoning/internal/data"
-	"edgereasoning/internal/engine"
+	"edgereasoning/internal/gpusim"
 	"edgereasoning/internal/hw"
 	"edgereasoning/internal/llm"
 	"edgereasoning/internal/model"
+	"edgereasoning/internal/power"
 	"edgereasoning/internal/tts"
 )
 
@@ -56,35 +57,26 @@ func fig9ParallelAccuracy(opts Options) ([]Table, error) {
 // fig10ParallelCost reproduces Fig 10: decode latency, energy per
 // question, and power/GPU-utilization across parallel scaling factors at
 // a fixed 128-token output budget (prefill once at batch 1, decode at
-// batch SF — the §V-E protocol).
+// batch SF — the §V-E protocol). Every branch decodes the same budget
+// from the shared prompt, so the whole fan-out is one prefill plus one
+// batch-SF decode run.
 func fig10ParallelCost(opts Options) ([]Table, error) {
+	d := hw.JetsonAGXOrin64GB()
+	sim := gpusim.New(d)
+	meter := power.NewMeter(d)
 	t := Table{
 		ID: "fig10", Title: "Parallel scaling on Orin: decode latency, energy/question, power, GPU utilization (128-token budget)",
 		Columns: []string{"model", "sf", "decode_latency_s", "energy_j_per_q", "power_w", "gpu_util_pct"},
 	}
 	const prompt, budget = 512, 128
 	for _, spec := range model.DSR1Family() {
+		pre := sim.Prefill(spec.Arch, spec.DType, prompt, 1)
 		for _, sf := range tts.PaperScalingFactors() {
-			eng, err := engine.New(engine.Config{Spec: spec, Device: hw.JetsonAGXOrin64GB()})
-			if err != nil {
-				return nil, err
-			}
-			outputs := make([]int, sf)
-			for i := range outputs {
-				outputs[i] = budget
-			}
-			b, err := eng.RunParallel(prompt, outputs)
-			if err != nil {
-				return nil, err
-			}
-			decodeLat := 0.0
-			if len(b.Requests) > 0 {
-				decodeLat = b.Requests[0].DecodeTime
-			}
+			dec := sim.DecodeRun(spec.Arch, spec.DType, prompt, budget, sf)
 			// Energy per question: the whole SF fan-out answers one question.
-			util := eng.Meter().GPUUtilization(
-				eng.SimDecodeProbe(prompt, budget, sf))
-			t.AddRow(string(spec.ID), di(sf), f2(decodeLat), f1(b.TotalEnergy), f1(b.AvgPower()), f1(util))
+			energy := meter.Energy(pre) + meter.Energy(dec)
+			avgPower := energy / (pre.Time + dec.Time)
+			t.AddRow(string(spec.ID), di(sf), f2(dec.Time), f1(energy), f1(avgPower), f1(meter.GPUUtilization(dec)))
 		}
 	}
 	return []Table{t}, nil

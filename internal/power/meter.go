@@ -26,8 +26,10 @@ type Meter struct {
 	BWSpan      float64
 	ComputeSpan float64
 
-	// ResidencyRho scales the DVFS boost for sustained runs: power grows
-	// with log10 of the per-sequence token count.
+	// ResidencyRho scales the DVFS boost for sustained decode runs: power
+	// grows with log10 of the run length (see Residency). Power keys the
+	// run length on the result's token count; the serving engine supplies
+	// per-sequence factors through PowerAt instead.
 	ResidencyRho float64
 
 	// SampleWindow is the power meter's averaging window in seconds.
@@ -51,8 +53,35 @@ func NewMeter(d *hw.Device) *Meter {
 	}
 }
 
-// Power returns the true average rail power (watts) during the phase.
+// Residency returns the DVFS residency factor 1 + ρ·log10(1 + n/64) for
+// a decode run of n tokens: sustained decode keeps clocks boosted, so
+// power rises logarithmically with run length (Takeaway #3). It is 1 when
+// ResidencyRho or n is non-positive.
+func (m *Meter) Residency(n int) float64 {
+	if m.ResidencyRho <= 0 || n <= 0 {
+		return 1
+	}
+	return 1 + m.ResidencyRho*math.Log10(1+float64(n)/64)
+}
+
+// Power returns the true average rail power (watts) during the phase. A
+// decode phase's residency factor is Residency(r.Tokens): the result's
+// total token count, which for a batched result is n·batch, not any one
+// sequence's run length. Raw batched probes (Fig 10, the ablations) keep
+// that keying; the serving engine supplies the mean per-sequence factor
+// of its active batch through PowerAt instead.
 func (m *Meter) Power(r gpusim.Result) float64 {
+	f := 1.0
+	if r.Phase == gpusim.PhaseDecode {
+		f = m.Residency(r.Tokens)
+	}
+	return m.PowerAt(r, f)
+}
+
+// PowerAt returns the phase's true average power with the given DVFS
+// residency factor (1 for none) in place of the one Power keys on
+// r.Tokens.
+func (m *Meter) PowerAt(r gpusim.Result, residency float64) float64 {
 	d := m.Device
 	if r.Time <= 0 {
 		return d.IdlePower
@@ -71,14 +100,7 @@ func (m *Meter) Power(r gpusim.Result) float64 {
 	if bwFrac > 1 {
 		bwFrac = 1
 	}
-	p := d.IdlePower + m.BWSpan*bwFrac*occ + m.ComputeSpan*computeRel*occ
-
-	// DVFS residency: sustained decode keeps clocks boosted; power rises
-	// logarithmically with the per-sequence run length.
-	if m.ResidencyRho > 0 && r.Tokens > 0 && r.Phase == gpusim.PhaseDecode {
-		perSeq := float64(r.Tokens)
-		p *= 1 + m.ResidencyRho*math.Log10(1+perSeq/64)
-	}
+	p := (d.IdlePower + m.BWSpan*bwFrac*occ + m.ComputeSpan*computeRel*occ) * residency
 	if p > d.MaxPower {
 		p = d.MaxPower
 	}

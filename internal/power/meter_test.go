@@ -158,3 +158,28 @@ func TestPowerNeverExceedsCap(t *testing.T) {
 		}
 	}
 }
+
+// Power keys residency on the result's own token count (n·batch for a
+// batched result); PowerAt with that factor is the same number, and a
+// prefill or a factor of 1 carries no boost.
+func TestResidencyKeying(t *testing.T) {
+	m, s := meterAndSim()
+	a := model.MustLookup(model.DSR1Qwen1_5B).Arch
+	dec := s.DecodeRun(a, model.FP16, 512, 256, 4)
+	if got, want := m.Power(dec), m.PowerAt(dec, m.Residency(256*4)); got != want {
+		t.Errorf("Power = %v, PowerAt(Residency(n·batch)) = %v", got, want)
+	}
+	if m.Power(dec) <= m.PowerAt(dec, 1) {
+		t.Error("a sustained decode must read above its unboosted power")
+	}
+	if f := m.Residency(0); f != 1 {
+		t.Errorf("Residency(0) = %v, want 1", f)
+	}
+	if f := m.Residency(64); math.Abs(f-(1+m.ResidencyRho*math.Log10(2))) > 1e-15 {
+		t.Errorf("Residency(64) = %v, want 1 + ρ·log10(2)", f)
+	}
+	pre := s.Prefill(a, model.FP16, 512, 1)
+	if m.Power(pre) != m.PowerAt(pre, 1) {
+		t.Error("prefill must carry no residency boost")
+	}
+}
