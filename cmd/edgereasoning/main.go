@@ -34,7 +34,7 @@
 //	-sessions N   concurrent sessions (sessions and tiering; default 10)
 //	-turns N      agent-loop turns per session (sessions and tiering; default 5)
 //	-branch N     parallel think samples at branch turns (sessions and tiering; default 2)
-//	-device-blocks L comma-separated device-cache sweep in blocks (tiering only; default 192,384,768)
+//	-device-blocks L comma-separated device-cache sweep in blocks (tiering only; default S,2S,4S with S = max(192, largest request))
 //	-host-blocks N   host-tier capacity in blocks (tiering only; default 1024)
 //	-bw B            host-link bandwidth in bytes/s (tiering only; default 16e9)
 //	-min N        autoscale pool floor (autoscale only; default 1)
@@ -252,7 +252,7 @@ func parseFlags(args []string, withFleet, withSessions, withAutoscale, withSatur
 	var tierHostBlocks *int
 	var tierBW *float64
 	if withTiering {
-		tierDeviceBlocks = fs.String("device-blocks", "", "comma-separated device-cache sweep in blocks (default 192,384,768)")
+		tierDeviceBlocks = fs.String("device-blocks", "", "comma-separated device-cache sweep in blocks (default S,2S,4S with S = max(192, largest request))")
 		tierHostBlocks = fs.Int("host-blocks", 0, "host-tier capacity in blocks (0 = driver default of 1024)")
 		tierBW = fs.Float64("bw", 0, "host-link bandwidth in bytes/s (0 = driver default of 16e9)")
 	}
@@ -766,7 +766,7 @@ flags:
   -sessions N   concurrent sessions (sessions and tiering; default 10)
   -turns N      agent-loop turns per session (sessions and tiering; default 5)
   -branch N     parallel think samples at branch turns (sessions and tiering; default 2)
-  -device-blocks L  tiering: device-cache sweep in blocks (default 192,384,768)
+  -device-blocks L  tiering: device-cache sweep in blocks (default S,2S,4S, S = max(192, largest request))
   -host-blocks N    tiering: host-tier capacity in blocks (default 1024)
   -bw B             tiering: host-link bandwidth in bytes/s (default 16e9)
   -min N        autoscale pool floor (autoscale only; default 1)

@@ -18,8 +18,8 @@ func TestStallEndChainsWindows(t *testing.T) {
 		{10.5, 11},
 	}
 	for _, tc := range cases {
-		if got := fx.stallEnd(tc.in); got != tc.want {
-			t.Errorf("stallEnd(%v) = %v, want %v", tc.in, got, tc.want)
+		if got := fx.StallEnd(tc.in); got != tc.want {
+			t.Errorf("StallEnd(%v) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
 }
@@ -29,14 +29,14 @@ func TestThrottleAtCompounds(t *testing.T) {
 		{From: 0, To: 10, Factor: 2},
 		{From: 5, To: 10, Factor: 3},
 	}}
-	if got := fx.throttleAt(1); got != 2 {
-		t.Errorf("throttleAt(1) = %v, want 2", got)
+	if got := fx.ThrottleAt(1); got != 2 {
+		t.Errorf("ThrottleAt(1) = %v, want 2", got)
 	}
-	if got := fx.throttleAt(7); got != 6 {
-		t.Errorf("throttleAt(7) = %v, want 6 (overlap compounds)", got)
+	if got := fx.ThrottleAt(7); got != 6 {
+		t.Errorf("ThrottleAt(7) = %v, want 6 (overlap compounds)", got)
 	}
-	if got := fx.throttleAt(10); got != 1 {
-		t.Errorf("throttleAt(10) = %v, want 1 (window end exclusive)", got)
+	if got := fx.ThrottleAt(10); got != 1 {
+		t.Errorf("ThrottleAt(10) = %v, want 1 (window end exclusive)", got)
 	}
 }
 

@@ -154,11 +154,11 @@ type ThrottleWindow struct {
 	Factor   float64
 }
 
-// stallEnd returns when work that would start at t can actually begin:
+// StallEnd returns when work that would start at t can actually begin:
 // past every stall window containing it (windows may chain or overlap).
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (f *FaultInjection) stallEnd(t float64) float64 {
+func (f *FaultInjection) StallEnd(t float64) float64 {
 	for changed := true; changed; {
 		changed = false
 		for _, w := range f.Stalls {
@@ -171,11 +171,11 @@ func (f *FaultInjection) stallEnd(t float64) float64 {
 	return t
 }
 
-// throttleAt returns the decode-time multiplier at t (1 outside all
+// ThrottleAt returns the decode-time multiplier at t (1 outside all
 // windows; overlapping windows compound).
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (f *FaultInjection) throttleAt(t float64) float64 {
+func (f *FaultInjection) ThrottleAt(t float64) float64 {
 	m := 1.0
 	for _, w := range f.Throttles {
 		if t >= w.From && t < w.To && w.Factor > 1 {
@@ -511,7 +511,7 @@ func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts 
 			if fx != nil {
 				// A stalled device starts the restore+prefill at the
 				// window's end; the wait lands in this request's TTFT.
-				if st := fx.stallEnd(e.clock); st > e.clock {
+				if st := fx.StallEnd(e.clock); st > e.clock {
 					if tra != nil {
 						tra.Record(telemetry.Span{ID: tr.ID, Kind: telemetry.KindStall,
 							Lane: slot, Start: e.clock, End: st})
@@ -575,7 +575,7 @@ func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts 
 		}
 		if fx != nil {
 			// No decode progress inside a stall window.
-			if st := fx.stallEnd(e.clock); st > e.clock {
+			if st := fx.StallEnd(e.clock); st > e.clock {
 				if tra != nil {
 					for _, s := range active {
 						tra.Record(telemetry.Span{ID: s.req.ID, Kind: telemetry.KindStall,
@@ -595,7 +595,7 @@ func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts 
 			// Thermal throttle: the chunk's tokens take Factor times as
 			// long (energy is computed from the unstretched result — the
 			// same work, spread over more seconds at lower power).
-			if f := fx.throttleAt(e.clock); f > 1 {
+			if f := fx.ThrottleAt(e.clock); f > 1 {
 				res.Time *= f
 				throttleF = f
 			}

@@ -50,7 +50,7 @@ type Options struct {
 	// subcommand threads them through); zero values select the driver's
 	// defaults and other drivers ignore them. The driver also honors the
 	// Session* workload knobs above.
-	TierDeviceBlocks string  // comma-separated device-cache sizes in blocks (default 192,384,768)
+	TierDeviceBlocks string  // comma-separated device-cache sizes in blocks (default: a starved point, 192 or the largest request, then 2x and 4x it)
 	TierHostBlocks   int     // host-tier capacity in blocks (default 1024)
 	TierLinkBW       float64 // host-link bandwidth in bytes/s (default kvcache.DefaultHostLinkBandwidth)
 

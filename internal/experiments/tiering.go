@@ -17,18 +17,34 @@ func init() {
 	register("tiering", tieringStudy)
 }
 
-// defaultTierDeviceBlocks is the device-cache sweep: the smallest point
-// is starved (the agentic stream's working set overflows it, so the run
-// demotes and promotes continuously), the largest holds most histories
-// resident and shows the tier costing nothing when idle.
-var defaultTierDeviceBlocks = []int{192, 384, 768}
+// tierBlockSize is the KV page size the tiering engines run with (the
+// engine default, pinned so the driver can size caches in blocks).
+const tierBlockSize = 16
+
+// defaultTierSweep is the device-cache sweep when none is given: a starved
+// point, then twice and four times it. The starved point is 192 blocks —
+// the agentic stream's working set overflows it, so the run demotes and
+// promotes continuously — raised when the stream's largest request needs
+// more, so the cache always holds any single request; the largest point
+// holds most histories resident and shows the tier costing nothing when
+// idle.
+func defaultTierSweep(reqs []engine.TimedRequest) []int {
+	starved := 192
+	for _, tr := range reqs {
+		if need := (tr.PromptTokens + tr.OutputTokens + tierBlockSize - 1) / tierBlockSize; need > starved {
+			starved = need
+		}
+	}
+	return []int{starved, 2 * starved, 4 * starved}
+}
 
 // ParseDeviceBlocks resolves the tiering sweep's comma-separated
-// device-cache sizes; an empty spelling selects the default sweep. The
-// CLI calls it to reject a typo before engines spin up.
+// device-cache sizes; an empty spelling returns nil, which selects the
+// default sweep derived from the stream. The CLI calls it to reject a
+// typo before engines spin up.
 func ParseDeviceBlocks(csv string) ([]int, error) {
 	if strings.TrimSpace(csv) == "" {
-		return append([]int(nil), defaultTierDeviceBlocks...), nil
+		return nil, nil
 	}
 	parts := strings.Split(csv, ",")
 	out := make([]int, 0, len(parts))
@@ -89,6 +105,9 @@ func tieringStudy(opts Options) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	if deviceSizes == nil {
+		deviceSizes = defaultTierSweep(reqs)
+	}
 	spec := model.MustLookup(model.DSR1Qwen1_5B)
 	const maxBatch = 8
 
@@ -98,7 +117,7 @@ func tieringStudy(opts Options) ([]Table, error) {
 	}
 	serve := func(deviceBlocks, host int) (run, error) {
 		e, err := engine.New(engine.Config{
-			Spec: spec, Device: hw.JetsonAGXOrin64GB(), PrefixCache: true,
+			Spec: spec, Device: hw.JetsonAGXOrin64GB(), BlockSize: tierBlockSize, PrefixCache: true,
 			DeviceBlocks: deviceBlocks, HostTierBlocks: host, HostLinkBandwidth: bw,
 		})
 		if err != nil {

@@ -144,25 +144,34 @@ func (q *ingress) pick() int {
 // take removes and returns the request at index i, preserving the
 // arrival order of the rest. Taking the head — the only case the
 // in-order disciplines hit — is O(1); mid-queue removal shifts the
-// tail.
+// tail. Every vacated slot is zeroed, as readyQueue does, so the
+// backing array pins no request payloads (PromptSyms histories).
 //
 //edgereasoning:hotpath bench=BenchmarkAutoscaleServe
 func (q *ingress) take(i int) engine.TimedRequest {
 	tr := q.waiting[i]
 	if i == q.head {
-		q.waiting[i] = engine.TimedRequest{} // release the slot's references
+		q.waiting[i] = engine.TimedRequest{}
 		q.head++
 		// Amortized compaction keeps the backing array from growing
 		// with the whole stream.
 		if q.head >= 64 && q.head*2 >= len(q.waiting) {
 			n := copy(q.waiting, q.waiting[q.head:])
-			q.waiting = q.waiting[:n]
+			q.truncate(n)
 			q.head = 0
 		}
 		return tr
 	}
-	q.waiting = append(q.waiting[:i], q.waiting[i+1:]...)
+	copy(q.waiting[i:], q.waiting[i+1:])
+	q.truncate(len(q.waiting) - 1)
 	return tr
+}
+
+// truncate shortens the queue's backing slice to n, zeroing the slots it
+// vacates.
+func (q *ingress) truncate(n int) {
+	clear(q.waiting[n:])
+	q.waiting = q.waiting[:n]
 }
 
 // drain removes every waiting request, reporting each through drop —
@@ -171,7 +180,7 @@ func (q *ingress) drain(drop func(engine.TimedRequest)) {
 	for _, tr := range q.waiting[q.head:] {
 		drop(tr)
 	}
-	q.waiting = q.waiting[:0]
+	q.truncate(0)
 	q.head = 0
 }
 
@@ -186,7 +195,7 @@ func (q *ingress) dropLate(t float64, drop func(engine.TimedRequest)) {
 		}
 		kept = append(kept, tr)
 	}
-	q.waiting = q.waiting[:q.head+len(kept)]
+	q.truncate(q.head + len(kept))
 }
 
 // missPressure counts waiting deadline-bearing requests that will

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"testing"
 
 	"edgereasoning/internal/engine"
@@ -73,6 +74,63 @@ func TestIngressPickOrder(t *testing.T) {
 	if q.len() != 3 || q.waiting[q.pick()].ID != "a" {
 		t.Errorf("shed queue after purge: len %d, head %q", q.len(), q.waiting[q.pick()].ID)
 	}
+}
+
+// TestIngressZeroesVacatedSlots inspects the backing array past len
+// after every removal path — mid-queue take, head take with compaction,
+// dropLate and drain: no vacated slot may keep a request (and its
+// PromptSyms history) reachable.
+func TestIngressZeroesVacatedSlots(t *testing.T) {
+	syms := []uint64{1, 2, 3}
+	fill := func(n int) *ingress {
+		q := &ingress{}
+		for i := 0; i < n; i++ {
+			q.push(engine.TimedRequest{
+				Request:    engine.Request{ID: fmt.Sprintf("q%d", i), PromptTokens: 64},
+				Arrival:    float64(i),
+				Deadline:   float64(10 + i),
+				PromptSyms: syms,
+			})
+		}
+		return q
+	}
+	check := func(name string, q *ingress, live int) {
+		t.Helper()
+		if q.len() != live {
+			t.Fatalf("%s: %d waiting, want %d", name, q.len(), live)
+		}
+		for i, tr := range q.waiting[len(q.waiting):cap(q.waiting)] {
+			if tr.ID != "" || tr.PromptSyms != nil {
+				t.Errorf("%s: slot len+%d still holds %q", name, i, tr.ID)
+			}
+		}
+	}
+
+	q := fill(8)
+	if got := q.take(q.head + 3); got.ID != "q3" {
+		t.Fatalf("mid-queue take returned %q, want q3", got.ID)
+	}
+	check("mid-queue take", q, 7)
+
+	q = fill(130)
+	for i := 0; i < 65; i++ {
+		q.take(q.pick())
+	}
+	if q.head != 0 {
+		t.Fatalf("head %d after 65 takes of 130: compaction did not run", q.head)
+	}
+	check("head take with compaction", q, 65)
+
+	q = fill(8)
+	dropped := 0
+	q.dropLate(14, func(engine.TimedRequest) { dropped++ })
+	if dropped != 4 {
+		t.Fatalf("dropLate(14) dropped %d, want 4", dropped)
+	}
+	check("dropLate", q, 4)
+
+	q.drain(func(engine.TimedRequest) {})
+	check("drain", q, 0)
 }
 
 // blockedStream is one long deadline-less request that hogs the sole

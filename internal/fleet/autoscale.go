@@ -151,14 +151,13 @@ type ScaleEvent struct {
 // autoscaler is the dispatch-time controller owned by one Serve run.
 type autoscaler struct {
 	cfg         AutoscaleConfig
-	opts        cacheOptions // provisioned replicas match the pool's engines
-	provisioned int          // replicas added so far (drives the profile cycle)
-	lastUp      float64      // time of the last provision
+	provisioned int     // replicas added so far (drives the profile cycle)
+	lastUp      float64 // time of the last provision
 	events      []ScaleEvent
 	peak        int
 }
 
-func newAutoscaler(cfg *AutoscaleConfig, initial int, opts cacheOptions) (*autoscaler, error) {
+func newAutoscaler(cfg *AutoscaleConfig, initial int) (*autoscaler, error) {
 	if cfg == nil {
 		return nil, nil
 	}
@@ -168,7 +167,6 @@ func newAutoscaler(cfg *AutoscaleConfig, initial int, opts cacheOptions) (*autos
 	}
 	return &autoscaler{
 		cfg:    c,
-		opts:   opts,
 		lastUp: math.Inf(-1),
 		peak:   initial,
 		// The event log is bounded by provisions plus retirements —
@@ -269,12 +267,11 @@ func (as *autoscaler) provision(ro *router, t float64, reason string) error {
 		Device:      dev,
 		WarmupDelay: t + as.cfg.ColdStart,
 	}.withDefaults(len(ro.replicas))
-	r, err := newReplica(rc, as.opts)
+	r, err := newReplica(rc, ro.tmpl, ro.trace)
 	if err != nil {
 		return fmt.Errorf("fleet: autoscale provision %s: %w", name, err)
 	}
 	r.provisionedAt = t
-	r.idleFrom = rc.WarmupDelay
 	ro.replicas = append(ro.replicas, r)
 	as.provisioned++
 	as.lastUp = t
@@ -297,7 +294,9 @@ func (as *autoscaler) retireIdle(ro *router, t float64) {
 		if !r.liveAt(t) || r.depth(t) > 0 {
 			continue
 		}
-		idleAt := math.Max(r.idleFrom, r.cfg.WarmupDelay)
+		// The idle timer starts when the backlog was estimated to drain,
+		// and never before the replica came up.
+		idleAt := math.Max(r.estFreeAt, r.cfg.WarmupDelay)
 		if t-idleAt < as.cfg.IdleRetire {
 			continue
 		}

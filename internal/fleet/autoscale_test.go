@@ -255,7 +255,7 @@ func TestAutoscaleScaleOnMissIgnoresDepth(t *testing.T) {
 // sticky map drops every entry referencing the retired one.
 func TestStickySessionsPurgedOnRetirement(t *testing.T) {
 	mk := func() *replica {
-		r, err := newReplica(ReplicaConfig{Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB()}.withDefaults(0), cacheOptions{})
+		r, err := newReplica(ReplicaConfig{Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB()}.withDefaults(0), engine.Config{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func TestStickySessionsPurgedOnRetirement(t *testing.T) {
 		Min: 1, Max: 2, Spec: smallSpec(),
 		Devices:    []*hw.Device{hw.JetsonAGXOrin64GB()},
 		IdleRetire: 5, Cooldown: 1, DepthPerReplica: 4,
-	}, 2, cacheOptions{})
+	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,8 +282,8 @@ func TestStickySessionsPurgedOnRetirement(t *testing.T) {
 		sess("a2", "sa", 100),
 	}
 	var out Metrics
-	var delays map[string]float64
-	if err := dispatch(ro, as, nil, nil, FIFO, engine.NewPeekable(engine.NewSliceSource(stream)), &delays, &out); err != nil {
+	cx := &chaos{ro: ro, out: &out}
+	if err := dispatch(ro, as, cx, nil, FIFO, engine.NewPeekable(engine.NewSliceSource(stream)), &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Dropped != 0 {
@@ -323,7 +323,7 @@ func TestStickySessionsPurgedOnRetirement(t *testing.T) {
 // against a full pool must refuse rather than exceed the budget.
 func TestProvisionRefusesAtMax(t *testing.T) {
 	mk := func() *replica {
-		r, err := newReplica(ReplicaConfig{Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB()}.withDefaults(0), cacheOptions{})
+		r, err := newReplica(ReplicaConfig{Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB()}.withDefaults(0), engine.Config{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +333,7 @@ func TestProvisionRefusesAtMax(t *testing.T) {
 	as, err := newAutoscaler(&AutoscaleConfig{
 		Min: 1, Max: 2, Spec: smallSpec(),
 		Devices: []*hw.Device{hw.JetsonAGXOrin64GB()},
-	}, 2, cacheOptions{})
+	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,8 +132,8 @@ func TestTotalOutageMidStreamConservation(t *testing.T) {
 // retirement, a failed replica to its FailAt, a survivor to the wall,
 // and a dead-at-birth provision never bills negative time.
 func TestRetireAtDrainBoundaryBilledOnce(t *testing.T) {
-	mk := func(provisionedAt, idleFrom float64, cfg ReplicaConfig) *replica {
-		return &replica{cfg: cfg, provisionedAt: provisionedAt, idleFrom: idleFrom}
+	mk := func(provisionedAt, estFreeAt float64, cfg ReplicaConfig) *replica {
+		return &replica{cfg: cfg, provisionedAt: provisionedAt, estFreeAt: estFreeAt}
 	}
 	boundary := mk(0, 90, ReplicaConfig{Name: "boundary"}) // idle timer expires at exactly wall=100
 	survivor := mk(50, 95, ReplicaConfig{Name: "survivor"})
@@ -143,7 +143,7 @@ func TestRetireAtDrainBoundaryBilledOnce(t *testing.T) {
 	stillborn := mk(80, 80, ReplicaConfig{Name: "stillborn", FailAt: 70})
 
 	ro := &router{replicas: []*replica{boundary, survivor, early, failed, stillborn}}
-	as, err := newAutoscaler(&AutoscaleConfig{Min: 1, Max: 8, Spec: smallSpec(), IdleRetire: 10}, 5, cacheOptions{})
+	as, err := newAutoscaler(&AutoscaleConfig{Min: 1, Max: 8, Spec: smallSpec(), IdleRetire: 10}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,19 +3,24 @@
 // Orin power modes, server parts) and mixed weight formats (FP16 and
 // W4A16). A deterministic router assigns each arriving request to a
 // replica under a pluggable Policy; each replica then executes its
-// sub-stream on the full vLLM-style engine (engine.Serve), and the
+// sub-stream on the full vLLM-style engine (engine.ServeSource), and the
 // per-replica results are folded into fleet-wide Metrics.
 //
 // The router works on calibrated estimates (a batch-1 probe of each
 // replica's prefill and decode rates) while the replicas execute on the
 // exact simulator, mirroring a real load balancer that routes on cheap
-// health signals rather than ground truth. Admission is a shared ingress
-// queue with per-replica capacity and a pluggable discipline
-// (Config.Admission): the default FIFO blocks the stream head when every
-// routable replica is at capacity, while EDF and SJF reorder the waiting
-// set and Shed drops hopeless deadline work instead of serving it late.
-// An optional autoscaler (Config.Autoscale) grows and shrinks the
-// replica pool on ingress pressure, paying modeled cold starts.
+// health signals rather than ground truth. Each replica keeps one
+// dispatch log — the requests it took, in dispatch order, each with its
+// estimated finish and shared-queue wait — and every router decision
+// reads that log: outstanding work for capacity, the earliest estimated
+// finish for capacity waits, the abort suffix at a crash, the idle timer
+// for the autoscaler. Admission is a shared ingress queue with
+// per-replica capacity and a pluggable discipline (Config.Admission):
+// the default FIFO blocks the stream head when every routable replica is
+// at capacity, while EDF and SJF reorder the waiting set and Shed drops
+// hopeless deadline work instead of serving it late. An optional
+// autoscaler (Config.Autoscale) grows and shrinks the replica pool on
+// ingress pressure, paying modeled cold starts.
 package fleet
 
 import (
@@ -126,26 +131,13 @@ type Config struct {
 	Trace *telemetry.Trace
 }
 
-// cacheOptions carries the fleet-level engine cache knobs to replica
-// construction — the initial pool and autoscaler provisions build
-// identically-tiered engines.
-type cacheOptions struct {
-	prefixCache       bool
-	deviceBlocks      int
-	hostTierBlocks    int
-	hostLinkBandwidth float64
-	// trace rides along so autoscaler provisions register their tracks
-	// the same way the initial pool does.
-	trace *telemetry.Trace
-}
-
-func (cfg Config) cacheOpts() cacheOptions {
-	return cacheOptions{
-		prefixCache:       cfg.PrefixCache,
-		deviceBlocks:      cfg.DeviceBlocks,
-		hostTierBlocks:    cfg.HostTierBlocks,
-		hostLinkBandwidth: cfg.HostLinkBandwidth,
-		trace:             cfg.Trace,
+// engineTemplate is the engine configuration every replica is built
+// from — the initial pool and autoscaler provisions alike — before
+// newReplica fills in the replica's own spec, device and trace track.
+func (cfg Config) engineTemplate() engine.Config {
+	return engine.Config{
+		PrefixCache: cfg.PrefixCache, DeviceBlocks: cfg.DeviceBlocks,
+		HostTierBlocks: cfg.HostTierBlocks, HostLinkBandwidth: cfg.HostLinkBandwidth,
 	}
 }
 
@@ -274,53 +266,57 @@ type replica struct {
 	// Calibrated batch-1 rates from the warm-up probe.
 	prefillPerTok float64
 	decodePerTok  float64
-	// assigned is the replica's sub-stream, in dispatch order; src is the
-	// reusable source wrapper its drain feeds the engine through.
+	// The dispatch log. assigned is the replica's sub-stream in dispatch
+	// order, each Arrival rewritten to its dispatch instant; est is the
+	// router's parallel view of each entry. Estimated finishes are
+	// non-decreasing in dispatch order (each is max(estFreeAt, t) +
+	// service, and estFreeAt only ratchets, or resets to a restart that
+	// postdates every surviving entry), so the entries still outstanding
+	// are always a suffix: est[done:] are those estimated to finish after
+	// the clock of the latest depth query, and a crash aborts a suffix too.
+	// src is the reusable source wrapper the drain feeds assigned through.
 	assigned []engine.TimedRequest
+	est      []estimate
+	done     int
 	src      engine.SliceSource
-	// finishes holds estimated completion times of outstanding requests,
-	// sorted ascending; estFreeAt is the serial-backlog horizon.
-	finishes  []float64
+	// estFreeAt is the serial-backlog horizon: the estimated finish of the
+	// latest dispatch, or the restart instant after a crash.
 	estFreeAt float64
 	wrrCredit float64
 	// Autoscaler lifecycle: provisionedAt is when the replica joined the
-	// pool; idleFrom estimates when its backlog drains (the idle timer's
-	// start); retired marks an autoscaler drain at retiredAt.
+	// pool; retired marks an autoscaler drain at retiredAt.
 	provisionedAt float64
-	idleFrom      float64
 	retired       bool
 	retiredAt     float64
-	// Fault machinery, nil/zero on fault-free replicas so the legacy
-	// paths stay untouched: tl is the compiled fault timeline and hs the
-	// circuit-breaker state; estFinish mirrors assigned with estimated
-	// completion times (maintained only when trackEst — crash-prone
-	// replicas — so fault-free dispatch stays allocation-identical) and
-	// recovers the abort suffix at a crash; pendingWipe arms the next
-	// take to mark its request as the cache-wipe boundary in wipes.
+	// Fault machinery: tl is the compiled fault timeline and hs the
+	// circuit-breaker state, nil on fault-free replicas and blind fleets;
+	// pendingWipe arms the next take to mark its request as the
+	// cache-wipe boundary in the timeline's CrashWipes.
 	tl          *timeline
 	hs          *healthState
-	estFinish   []float64
-	trackEst    bool
-	wipes       map[string]bool
 	pendingWipe bool
 	// crashes counts crash events that struck this replica (folded into
 	// ReplicaMetrics.Crashes).
 	crashes int
 }
 
-// newReplica builds the serving engine for one replica config and
-// calibrates the router's service-time estimate from the engine's own
-// kernel model. CalibrationRates is pure — the clock and cache are
-// untouched — and returns exactly what the historical one-request probe
-// run on a scratch engine measured, without constructing one.
-func newReplica(rc ReplicaConfig, opts cacheOptions) (*replica, error) {
-	engCfg := engine.Config{
-		Spec: rc.Spec, Device: rc.Device, PrefixCache: opts.prefixCache,
-		DeviceBlocks: opts.deviceBlocks, HostTierBlocks: opts.hostTierBlocks,
-		HostLinkBandwidth: opts.hostLinkBandwidth,
-	}
-	if opts.trace != nil {
-		engCfg.Trace = opts.trace.Track(rc.Name)
+// estimate is the router's record of one logged dispatch.
+type estimate struct {
+	finish float64 // estimated completion
+	wait   float64 // shared-queue wait before dispatch (dispatch − arrival)
+}
+
+// newReplica builds the serving engine for one replica config from the
+// fleet's engine template and calibrates the router's service-time
+// estimate from the engine's own kernel model. CalibrationRates is pure
+// — the clock and cache are untouched — and returns exactly what the
+// historical one-request probe run on a scratch engine measured, without
+// constructing one. A non-nil trace gives the engine its own track.
+func newReplica(rc ReplicaConfig, tmpl engine.Config, trace *telemetry.Trace) (*replica, error) {
+	engCfg := tmpl
+	engCfg.Spec, engCfg.Device = rc.Spec, rc.Device
+	if trace != nil {
+		engCfg.Trace = trace.Track(rc.Name)
 	}
 	eng, err := engine.New(engCfg)
 	if err != nil {
@@ -330,15 +326,7 @@ func newReplica(rc ReplicaConfig, opts cacheOptions) (*replica, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %s probe: %w", rc.Name, err)
 	}
-	return &replica{
-		cfg:           rc,
-		eng:           eng,
-		prefillPerTok: prefillPerTok,
-		decodePerTok:  decodePerTok,
-		// finishes tracks at most Capacity outstanding estimates;
-		// reserving that up front keeps every take allocation-free.
-		finishes: make([]float64, 0, rc.Capacity),
-	}, nil
+	return &replica{cfg: rc, eng: eng, prefillPerTok: prefillPerTok, decodePerTok: decodePerTok}, nil
 }
 
 // estService estimates the batch-1 service time of a request.
@@ -352,12 +340,12 @@ func (r *replica) estService(tr engine.TimedRequest) float64 {
 // the device's thermal state and steers deadline-critical work toward
 // cool replicas. A blind fleet estimates full speed and eats the
 // stretch at drain time. This is a routing signal only: the recorded
-// dispatch estimates (estFreeAt, finishes, estFinish) stay unstretched,
-// so crash abort sets and capacity accounting are identical across
-// health-aware and blind legs of the same schedule.
+// dispatch estimates (estFreeAt and the log) stay unstretched, so crash
+// abort sets and capacity accounting are identical across health-aware
+// and blind legs of the same schedule.
 func (r *replica) estFinishFor(tr engine.TimedRequest, start float64) float64 {
 	svc := r.estService(tr)
-	if r.hs != nil && r.tl != nil && len(r.tl.throttles) > 0 {
+	if r.hs != nil && r.tl != nil && len(r.tl.fx.Throttles) > 0 {
 		return r.tl.finishAfter(start, svc)
 	}
 	return start + svc
@@ -374,42 +362,21 @@ func (r *replica) speed() float64 {
 }
 
 // routableAt reports whether the router may hand the replica a request
-// at time t (warm, not failed or crash-dead, not retired, not down
-// awaiting restart, not breaker-blocked); capacity is checked
-// separately. Under health-aware routing a replica inside a stall
-// window is also unroutable — the health layer detects the stall and
-// steers around it, while a blind fleet keeps dispatching into it and
-// pays the freeze at drain time.
+// at time t — whether t itself is the earliest instant availAt allows;
+// capacity is checked separately.
 func (r *replica) routableAt(t float64) bool {
-	if t < r.cfg.WarmupDelay {
-		return false
-	}
-	if r.cfg.FailAt > 0 && t >= r.cfg.FailAt {
-		return false
-	}
-	if r.retired {
-		return false
-	}
-	if r.tl != nil {
-		if down, _ := r.tl.downAt(t); down {
-			return false
-		}
-	}
-	if r.hs != nil {
-		if blocked, _ := r.hs.blockedAt(t); blocked {
-			return false
-		}
-		if r.tl != nil && r.tl.stallEnd(t) > t {
-			return false
-		}
-	}
-	return true
+	at, never := r.availAt(t)
+	return !never && at == t
 }
 
 // availAt returns the earliest instant >= t at which the replica could
-// be routable again — warm-ups, crash downtime, breaker opens, and
-// (under health-aware routing) stall windows all push it out — or
-// never=true when no such instant exists. Capacity is not considered.
+// be routable: warm, not failed or crash-dead, not retired, not down
+// awaiting restart, not breaker-blocked — warm-ups, crash downtime and
+// breaker opens all push it out — or never=true when no such instant
+// exists. Under health-aware routing a stall window pushes it out too:
+// the health layer detects the stall and steers around it, while a
+// blind fleet keeps dispatching into it and pays the freeze at drain
+// time. Capacity is not considered.
 func (r *replica) availAt(t float64) (float64, bool) {
 	for {
 		switch {
@@ -444,7 +411,7 @@ func (r *replica) availAt(t float64) (float64, bool) {
 				continue
 			}
 			if r.tl != nil {
-				if end := r.tl.stallEnd(t); end > t {
+				if end := r.tl.fx.StallEnd(t); end > t {
 					t = end
 					continue
 				}
@@ -454,49 +421,50 @@ func (r *replica) availAt(t float64) (float64, bool) {
 	}
 }
 
-// depth drops completed estimates and returns outstanding count at t.
-// Completed entries are compacted away in place — reslicing the head off
-// would orphan the preallocated backing array and make every later take
-// regrow it.
+// depth moves the log's done index to the first entry estimated to
+// finish after t and returns the outstanding count at t. The index moves
+// back as well as forward: nextFree looks ahead past the dispatch clock,
+// and a crash inside that look-ahead pulls the clock back, so a query
+// can come earlier than the last one.
 func (r *replica) depth(t float64) int {
-	done := sort.Search(len(r.finishes), func(k int) bool { return r.finishes[k] > t })
-	if done > 0 {
-		n := copy(r.finishes, r.finishes[done:])
-		r.finishes = r.finishes[:n]
+	for r.done > 0 && r.est[r.done-1].finish > t {
+		r.done--
 	}
-	return len(r.finishes)
+	for r.done < len(r.est) && r.est[r.done].finish <= t {
+		r.done++
+	}
+	return r.outstanding()
 }
 
-// take records the dispatch of tr at time t.
+// outstanding is the count of logged dispatches not yet estimated done
+// as of the latest depth query.
+func (r *replica) outstanding() int { return len(r.est) - r.done }
+
+// take logs the dispatch of tr, which arrived at tr.Arrival, at time t.
+// The engine sees the dispatch time as the arrival; the shared-queue
+// wait rides in the log and is re-added to the latency after the drain.
 func (r *replica) take(tr engine.TimedRequest, t float64) {
-	est := math.Max(r.estFreeAt, t) + r.estService(tr)
-	r.estFreeAt = est
-	r.idleFrom = est
-	i := sort.SearchFloat64s(r.finishes, est)
-	r.finishes = append(r.finishes, 0)
-	copy(r.finishes[i+1:], r.finishes[i:])
-	r.finishes[i] = est
+	finish := math.Max(r.estFreeAt, t) + r.estService(tr)
+	r.estFreeAt = finish
 	if r.assigned == nil {
-		// Seed the sub-stream at a 64-request floor so short runs skip the
-		// early append-growth doublings.
+		// Seed the log at a 64-request floor so short runs skip the early
+		// append-growth doublings.
 		r.assigned = make([]engine.TimedRequest, 0, 64)
+		r.est = make([]estimate, 0, 64)
 	}
+	wait := t - tr.Arrival
+	tr.Arrival = t
 	r.assigned = append(r.assigned, tr)
-	if r.trackEst {
-		// Estimated finishes are monotone in dispatch order (est is
-		// max(estFreeAt, t) + service, and estFreeAt ratchets), so the
-		// abort set at a crash is always a suffix of assigned.
-		r.estFinish = append(r.estFinish, est)
-	}
+	r.est = append(r.est, estimate{finish: finish, wait: wait})
 	if r.pendingWipe {
-		if r.wipes == nil {
-			r.wipes = make(map[string]bool)
+		if r.tl.fx.CrashWipes == nil {
+			r.tl.fx.CrashWipes = make(map[string]bool)
 		}
-		r.wipes[tr.ID] = r.tl.keepHost
+		r.tl.fx.CrashWipes[tr.ID] = r.tl.keepHost
 		r.pendingWipe = false
 	}
 	if r.hs != nil {
-		r.hs.noteTake(tr.ID, t, est)
+		r.hs.noteTake(t, finish)
 	}
 }
 
@@ -519,20 +487,22 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 	if len(cfg.Replicas) == 0 {
 		return Metrics{}, fmt.Errorf("fleet: no replicas configured")
 	}
-	opts := cfg.cacheOpts()
 	// The fleet tracer registers the shared ingress and faults tracks
 	// before the replica constructors register theirs, fixing the export
 	// layout; nil when tracing is off.
 	ft := newFleetTracer(cfg.Trace)
-	replicas := make([]*replica, len(cfg.Replicas))
+	router := &router{
+		replicas: make([]*replica, len(cfg.Replicas)), policy: cfg.Policy,
+		tiered: cfg.HostTierBlocks > 0, tmpl: cfg.engineTemplate(), trace: cfg.Trace,
+	}
 	for i, rc := range cfg.Replicas {
-		r, err := newReplica(rc.withDefaults(i), opts)
+		r, err := newReplica(rc.withDefaults(i), router.tmpl, router.trace)
 		if err != nil {
 			return Metrics{}, err
 		}
-		replicas[i] = r
+		router.replicas[i] = r
 	}
-	as, err := newAutoscaler(cfg.Autoscale, len(replicas), opts)
+	as, err := newAutoscaler(cfg.Autoscale, len(router.replicas))
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -544,43 +514,49 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 
 	var out Metrics
 	out.Policy = cfg.Policy
-	router := &router{replicas: replicas, policy: cfg.Policy, tiered: cfg.HostTierBlocks > 0}
-	// delays records per-request global-queue wait (dispatch − arrival),
-	// folded back into latency accounting after the engines run. One map
-	// serves the whole run — request IDs are unique across replicas —
-	// and it stays nil while the fleet keeps up.
-	var delays map[string]float64
-	crashes, err := compileFaults(cfg, replicas)
+	crashes, err := compileFaults(cfg, router.replicas)
 	if err != nil {
 		return Metrics{}, err
 	}
 	if ft != nil {
-		ft.faultWindows(replicas)
+		ft.faultWindows(router.replicas)
 	}
-	var cx *chaos
-	if len(crashes) > 0 {
-		cx = &chaos{ro: router, healthOn: cfg.Health != nil, events: crashes, delays: &delays, out: &out, ft: ft}
-		if cfg.Retry != nil {
-			if err := cfg.Retry.validate(); err != nil {
-				return Metrics{}, err
-			}
-			cx.retry = cfg.Retry.withDefaults()
-			cx.retryOn = true
+	cx := &chaos{ro: router, health: cfg.Health, events: crashes, out: &out, ft: ft}
+	if cfg.Retry != nil {
+		if err := cfg.Retry.validate(); err != nil {
+			return Metrics{}, err
 		}
+		p := cfg.Retry.withDefaults()
+		cx.retry = &p
 	}
 	if cfg.Health != nil {
 		h := cfg.Health.withDefaults()
 		if err := h.validate(); err != nil {
 			return Metrics{}, err
 		}
-		for _, r := range replicas {
+		for _, r := range router.replicas {
 			r.hs = &healthState{cfg: h}
 		}
 	}
-	if err := dispatch(router, as, cx, ft, cfg.Admission, stream, &delays, &out); err != nil {
+	if err := dispatch(router, as, cx, ft, cfg.Admission, stream, &out); err != nil {
 		return out, err
 	}
-	replicas = router.replicas // the autoscaler may have grown the pool
+	replicas := router.replicas // the autoscaler may have grown the pool
+	// Fold each surviving dispatch's shared-queue wait back into its
+	// end-to-end latency after the drain. One map serves the whole run —
+	// request IDs are unique across replicas — and it stays nil while the
+	// fleet keeps up.
+	var delays map[string]float64
+	for _, r := range replicas {
+		for i, e := range r.est {
+			if e.wait > 0 {
+				if delays == nil {
+					delays = make(map[string]float64)
+				}
+				delays[r.assigned[i].ID] = e.wait
+			}
+		}
+	}
 
 	discipline := cfg.Admission.localDiscipline(cfg.Policy)
 	busy := make([]float64, 0, len(replicas))
@@ -680,13 +656,17 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 	return out, nil
 }
 
+// afterTake, when non-nil, observes the router right after each dispatch
+// at clock t. Tests set it to check the dispatch logs mid-run.
+var afterTake func(ro *router, t float64)
+
 // dispatch routes the arrival-ordered stream through the ingress queue:
 // requests are pulled from the source and enter the shared queue as the
 // clock passes their arrivals, and whenever a replica can accept work
 // the admission discipline picks which waiting request goes next. The
 // dispatch clock is monotone — a request is never dispatched before an
 // earlier decision's time.
-func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission Admission, stream *engine.Peekable, delays *map[string]float64, out *Metrics) error {
+func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission Admission, stream *engine.Peekable, out *Metrics) error {
 	q := &ingress{discipline: admission}
 	drop := func(tr engine.TimedRequest) {
 		out.Dropped++
@@ -712,24 +692,22 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 			out.Offered++
 			q.push(tr)
 		}
-		if cx != nil {
-			for {
-				tr, ok := cx.popRetryUntil(t)
-				if !ok {
-					break
-				}
-				q.push(tr)
+		for {
+			tr, ok := cx.popRetryUntil(t)
+			if !ok {
+				break
 			}
+			q.push(tr)
 		}
 	}
 
 	now := 0.0
 	for {
-		if !(stream.More() || q.len() > 0 || (cx != nil && cx.retryPending())) {
+		if !(stream.More() || q.len() > 0 || cx.retryPending()) {
 			// Nothing left to dispatch. Remaining crash events can still
 			// abort already-routed work: processing them may refill the
 			// retry queue (looping us back) or drop the aborts for good.
-			if cx == nil || !cx.crashPending() {
+			if !cx.crashPending() {
 				break
 			}
 			if at, _ := cx.nextCrashAt(); at > now {
@@ -743,23 +721,19 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 			if tr, ok := stream.Peek(); ok {
 				next = tr.Arrival
 			}
-			if cx != nil {
-				if at, ok := cx.nextRetryAt(); ok && at < next {
-					next = at
-				}
-				// Never advance past an unprocessed crash: its aborts may
-				// spawn retries due before the next arrival.
-				if at, ok := cx.nextCrashAt(); ok && at < next {
-					next = at
-				}
+			if at, ok := cx.nextRetryAt(); ok && at < next {
+				next = at
+			}
+			// Never advance past an unprocessed crash: its aborts may spawn
+			// retries due before the next arrival.
+			if at, ok := cx.nextCrashAt(); ok && at < next {
+				next = at
 			}
 			if next > now {
 				now = next
 			}
 		}
-		if cx != nil {
-			cx.processUpTo(now)
-		}
+		cx.processUpTo(now)
 		admitUntil(now)
 		if ft != nil {
 			ft.sampleQueue(now, q.len())
@@ -788,15 +762,13 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 				}
 				continue
 			}
-			if cx != nil {
-				// Remaining crash events can only abort work that nothing
-				// can re-serve: account them, then drop the retry queue.
-				cx.processUpTo(math.Inf(1))
-				cx.drainRetries(func(tr engine.TimedRequest) {
-					out.AbortedDropped++
-					drop(tr)
-				})
-			}
+			// Remaining crash events can only abort work that nothing can
+			// re-serve: account them, then drop the retry queue.
+			cx.processUpTo(math.Inf(1))
+			cx.drainRetries(func(tr engine.TimedRequest) {
+				out.AbortedDropped++
+				drop(tr)
+			})
 			q.drain(drop)
 			for {
 				tr, ok := stream.Next()
@@ -808,16 +780,14 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 			}
 			return nil
 		}
-		if cx != nil {
-			// A crash between now and the planned dispatch instant
-			// invalidates the plan — it may free capacity (aborts), kill
-			// the chosen replica, or open a breaker. Process it and
-			// re-route; dispatch never crosses an unprocessed crash.
-			if at, ok := cx.nextCrashAt(); ok && at <= t {
-				cx.processUpTo(at)
-				now = at
-				continue
-			}
+		// A crash between now and the planned dispatch instant invalidates
+		// the plan — it may free capacity (aborts), kill the chosen
+		// replica, or open a breaker. Process it and re-route; dispatch
+		// never crosses an unprocessed crash.
+		if at, ok := cx.nextCrashAt(); ok && at <= t {
+			cx.processUpTo(at)
+			now = at
+			continue
 		}
 		// Arrivals during the capacity wait join the queue before the
 		// discipline picks, so a reordering ingress sees everything that
@@ -844,18 +814,10 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 			now = t
 			continue
 		}
-		r := ro.chooseAt(tr, t)
-		// The engine sees the dispatch time as the arrival; the wait in
-		// the shared queue is re-added to the request's latency later.
-		adjusted := tr
-		adjusted.Arrival = t
-		if t > tr.Arrival {
-			if *delays == nil {
-				*delays = make(map[string]float64)
-			}
-			(*delays)[tr.ID] = t - tr.Arrival
+		ro.chooseAt(tr, t).take(tr, t)
+		if afterTake != nil {
+			afterTake(ro, t)
 		}
-		r.take(adjusted, t)
 		if ft != nil {
 			ft.dispatched(tr, t)
 			ft.sampleQueue(t, q.len())
@@ -931,6 +893,10 @@ type router struct {
 	// fleet's replicas carry a host-DRAM tier); non-tiered fleets keep
 	// the legacy least-pinned behavior bit for bit.
 	tiered bool
+	// tmpl and trace build every replica the pool gains (newReplica), so
+	// autoscaler provisions match the initial engines.
+	tmpl   engine.Config
+	trace  *telemetry.Trace
 	rrNext int
 	// sticky maps a session ID to the replica index its turns are pinned
 	// to (SessionAffinity only; re-pinned on fallback), and pinned counts
@@ -969,8 +935,8 @@ func (ro *router) nextFree(t float64) (float64, bool) {
 				next = math.Min(next, at)
 				continue
 			}
-			if len(r.finishes) > 0 {
-				free := r.finishes[0]
+			if r.outstanding() > 0 {
+				free := r.est[r.done].finish
 				if at2, never2 := r.availAt(free); !never2 {
 					next = math.Min(next, math.Max(free, at2))
 				}
@@ -1085,7 +1051,7 @@ func (ro *router) choose(candidates []int, tr engine.TimedRequest, t float64) in
 			w := ro.warmth(i, tr)
 			if w > bestWarm ||
 				(w == bestWarm && (ro.pinned[i] < ro.pinned[best] ||
-					(ro.pinned[i] == ro.pinned[best] && len(ro.replicas[i].finishes) < len(ro.replicas[best].finishes)))) {
+					(ro.pinned[i] == ro.pinned[best] && ro.replicas[i].outstanding() < ro.replicas[best].outstanding()))) {
 				best, bestWarm = i, w
 			}
 		}
@@ -1160,7 +1126,7 @@ func (ro *router) warmth(i int, tr engine.TimedRequest) int {
 func leastQueued(replicas []*replica, candidates []int) int {
 	best := candidates[0]
 	for _, i := range candidates[1:] {
-		if len(replicas[i].finishes) < len(replicas[best].finishes) {
+		if replicas[i].outstanding() < replicas[best].outstanding() {
 			best = i
 		}
 	}

@@ -11,13 +11,16 @@
 //
 // Crash semantics are authoritative at the dispatch level, mirroring how
 // the router works on calibrated estimates everywhere else: the abort
-// set at a crash is the suffix of the replica's assigned sub-stream
-// whose estimated completion lands after the crash instant (estimated
-// finishes are monotone in dispatch order), and the surviving prefix
-// drains normally. The engine sees the crash only as a cache-wipe marker
-// on the first post-restart request plus the stall/throttle timing
-// windows, so dispatch decisions and execution can never disagree about
-// which requests a crash destroyed.
+// set at a crash is the suffix of the replica's dispatch log whose
+// estimated completion lands after the crash instant (estimated finishes
+// are non-decreasing in dispatch order), and the surviving prefix drains
+// normally. Each aborted entry's logged queue wait restores its true
+// arrival for the retry. The engine sees the crash only as a cache-wipe
+// marker on the first post-restart request plus the stall/throttle
+// windows, which the router reads through the same engine.FaultInjection
+// lookups, so dispatch decisions and execution can never disagree about
+// which requests a crash destroyed. The fault machinery runs on every
+// fleet; a fault-free run simply has no crash events to process.
 package fleet
 
 import (
@@ -104,10 +107,13 @@ type crashPoint struct {
 
 // timeline is one replica's compiled fault view.
 type timeline struct {
-	crashes   []crashPoint // sorted ascending by at
-	stalls    []engine.StallWindow
-	throttles []engine.ThrottleWindow
-	keepHost  bool
+	crashes []crashPoint // sorted ascending by at
+	// fx holds the stall and throttle windows — plus the crash-boundary
+	// cache wipes armed at dispatch — in the engine's own form: the router
+	// reads the windows through the same lookups the replica's drain
+	// applies them with.
+	fx       engine.FaultInjection
+	keepHost bool
 	// deadAt is the earliest no-restart crash instant (+Inf when every
 	// crash restarts): from deadAt on the replica is gone for good.
 	deadAt float64
@@ -123,19 +129,6 @@ func (tl *timeline) downAt(t float64) (bool, float64) {
 	return false, 0
 }
 
-// throttleAt returns the thermal-throttle slowdown factor active at t
-// (1 when none; overlapping windows compound, matching the engine's
-// drain-time stretch).
-func (tl *timeline) throttleAt(t float64) float64 {
-	f := 1.0
-	for _, w := range tl.throttles {
-		if t >= w.From && t < w.To && w.Factor > 1 {
-			f *= w.Factor
-		}
-	}
-	return f
-}
-
 // finishAfter integrates svc seconds of work starting at t across the
 // replica's throttle windows: work inside a window runs Factor× slower,
 // work outside runs at full speed. A flat whole-service stretch would
@@ -143,11 +136,11 @@ func (tl *timeline) throttleAt(t float64) float64 {
 func (tl *timeline) finishAfter(t, svc float64) float64 {
 	rem := svc
 	for rem > 0 {
-		f := tl.throttleAt(t)
+		f := tl.fx.ThrottleAt(t)
 		// Advance to the next window boundary after t; the factor is
 		// constant until then.
 		next := math.Inf(1)
-		for _, w := range tl.throttles {
+		for _, w := range tl.fx.Throttles {
 			if w.From > t && w.From < next {
 				next = w.From
 			}
@@ -164,21 +157,6 @@ func (tl *timeline) finishAfter(t, svc float64) float64 {
 	return t
 }
 
-// stallEnd returns the earliest instant >= t outside every stall window
-// (windows may chain or overlap).
-func (tl *timeline) stallEnd(t float64) float64 {
-	for changed := true; changed; {
-		changed = false
-		for _, w := range tl.stalls {
-			if t >= w.From && t < w.To {
-				t = w.To
-				changed = true
-			}
-		}
-	}
-	return t
-}
-
 // healthState is one replica's circuit breaker. State changes are
 // applied at monotone dispatch-clock times by settle/strike/noteTake;
 // blockedAt is pure, so the router may probe future instants freely.
@@ -188,7 +166,6 @@ type healthState struct {
 	open        bool // breaker open: no traffic before openUntil, then one probe
 	openUntil   float64
 	probing     bool // the half-open probe is outstanding
-	probeID     string
 	probeFinish float64
 }
 
@@ -197,7 +174,6 @@ type healthState struct {
 func (h *healthState) strike(backUpAt float64) bool {
 	h.fails++
 	h.probing = false
-	h.probeID = ""
 	if !h.open && h.fails >= h.cfg.FailureThreshold {
 		h.open = true
 		h.openUntil = backUpAt + h.cfg.ProbeAfter
@@ -235,32 +211,27 @@ func (h *healthState) settle(t float64) {
 		h.open = false
 		h.probing = false
 		h.fails = 0
-		h.probeID = ""
 	}
 }
 
-// noteTake records a half-open dispatch as the breaker's probe.
-func (h *healthState) noteTake(id string, t, estFinish float64) {
+// noteTake records a half-open dispatch, estimated to finish at finish,
+// as the breaker's probe.
+func (h *healthState) noteTake(t, finish float64) {
 	if h.open && !h.probing && t >= h.openUntil {
 		h.probing = true
-		h.probeID = id
-		h.probeFinish = estFinish
+		h.probeFinish = finish
 	}
 }
 
-// injection assembles the engine-level fault view of this replica's
-// drain: its stall and throttle windows plus the crash-boundary cache
-// wipes. Nil on fault-free replicas, keeping their drains byte-identical
+// injection is the engine-level fault view of this replica's drain: its
+// stall and throttle windows plus the crash-boundary cache wipes. Nil
+// when there is nothing to inject, keeping those drains byte-identical
 // to a fault-free run.
 func (r *replica) injection() *engine.FaultInjection {
-	if r.tl == nil && len(r.wipes) == 0 {
+	if r.tl == nil {
 		return nil
 	}
-	fx := &engine.FaultInjection{CrashWipes: r.wipes}
-	if r.tl != nil {
-		fx.Stalls = r.tl.stalls
-		fx.Throttles = r.tl.throttles
-	}
+	fx := &r.tl.fx
 	if len(fx.Stalls) == 0 && len(fx.Throttles) == 0 && len(fx.CrashWipes) == 0 {
 		return nil
 	}
@@ -299,12 +270,12 @@ func compileFaults(cfg Config, replicas []*replica) ([]chaosEvent, error) {
 				}
 				tl(ev.Replica).crashes = append(tl(ev.Replica).crashes, crashPoint{at: ev.At, restart: restart})
 			case faults.Stall:
-				tl(ev.Replica).stalls = append(tl(ev.Replica).stalls,
-					engine.StallWindow{From: ev.At, To: ev.At + ev.Duration})
+				fx := &tl(ev.Replica).fx
+				fx.Stalls = append(fx.Stalls, engine.StallWindow{From: ev.At, To: ev.At + ev.Duration})
 			case faults.Throttle:
 				if ev.Factor > 1 {
-					tl(ev.Replica).throttles = append(tl(ev.Replica).throttles,
-						engine.ThrottleWindow{From: ev.At, To: ev.At + ev.Duration, Factor: ev.Factor})
+					fx := &tl(ev.Replica).fx
+					fx.Throttles = append(fx.Throttles, engine.ThrottleWindow{From: ev.At, To: ev.At + ev.Duration, Factor: ev.Factor})
 				}
 			}
 		}
@@ -329,9 +300,6 @@ func compileFaults(cfg Config, replicas []*replica) ([]chaosEvent, error) {
 			}
 			seq = append(seq, chaosEvent{at: c.at, restart: c.restart, replica: i})
 		}
-		// Only crash-prone replicas pay the per-dispatch estimated-finish
-		// bookkeeping the abort suffix is recovered from.
-		r.trackEst = len(r.tl.crashes) > 0
 	}
 	sort.SliceStable(seq, func(a, b int) bool {
 		if seq[a].at != seq[b].at {
@@ -351,19 +319,19 @@ type retryItem struct {
 }
 
 // chaos owns the dispatch-time fault machinery for one run: the global
-// crash sequence, the retry queue, and the recovery accounting. It is
-// nil on fault-free runs, keeping the legacy dispatch path untouched.
+// crash sequence, the retry queue, and the recovery accounting. Every
+// run has one; without crash events it never aborts anything.
 type chaos struct {
-	ro       *router
-	retry    RetryPolicy
-	retryOn  bool
-	healthOn bool
+	ro *router
+	// retry is the defaulted Config.Retry and health is Config.Health;
+	// nil disables re-admission and breaker settling respectively.
+	retry    *RetryPolicy
+	health   *HealthConfig
 	events   []chaosEvent
 	next     int
 	pending  []retryItem // sorted ascending by at; consumed from head
 	head     int
 	attempts map[string]int
-	delays   *map[string]float64
 	out      *Metrics
 	ft       *fleetTracer // nil when tracing is off
 }
@@ -435,7 +403,7 @@ func (cx *chaos) processUpTo(t float64) {
 		cx.next++
 		cx.crash(ev)
 	}
-	if cx.healthOn && !math.IsInf(t, 1) {
+	if cx.health != nil && !math.IsInf(t, 1) {
 		for _, r := range cx.ro.replicas {
 			if r.hs != nil {
 				r.hs.settle(t)
@@ -463,14 +431,14 @@ func (cx *chaos) crash(ev chaosEvent) {
 		cx.ft.crashed(r.cfg.Name, ev.at)
 	}
 	cut := len(r.assigned)
-	for cut > 0 && r.estFinish[cut-1] > ev.at {
+	for cut > 0 && r.est[cut-1].finish > ev.at {
 		cut--
 	}
 	for i := cut; i < len(r.assigned); i++ {
 		tr := r.assigned[i]
 		svc := r.estService(tr)
 		lost := 0.0
-		if start := r.estFinish[i] - svc; start < ev.at {
+		if start := r.est[i].finish - svc; start < ev.at {
 			lost = math.Min(ev.at-start, svc)
 			cx.out.LostWorkSeconds += lost
 		}
@@ -478,27 +446,21 @@ func (cx *chaos) crash(ev chaosEvent) {
 		if cx.ft != nil {
 			cx.ft.aborted(tr, ev.at, lost, r.cfg.Name, cx.attempts[tr.ID])
 		}
+		// Undo the dispatch-time arrival rewrite so the retry re-enters
+		// with its true arrival and the eventual latency spans every
+		// attempt.
 		orig := tr
-		if *cx.delays != nil {
-			if d, ok := (*cx.delays)[tr.ID]; ok {
-				// Undo the dispatch-time arrival adjustment so the retry
-				// re-enters with its true arrival and the eventual
-				// latency spans every attempt.
-				orig.Arrival = tr.Arrival - d
-				delete(*cx.delays, tr.ID)
-			}
-		}
+		orig.Arrival = tr.Arrival - r.est[i].wait
 		cx.requeue(orig, ev.at)
 		r.assigned[i] = engine.TimedRequest{}
 	}
 	r.assigned = r.assigned[:cut]
-	r.estFinish = r.estFinish[:cut]
+	r.est = r.est[:cut]
 	// Every surviving dispatch was estimated done by the crash instant,
-	// so the outstanding-estimate list empties wholesale.
-	r.finishes = r.finishes[:0]
+	// so nothing is outstanding.
+	r.done = cut
 	if !math.IsInf(ev.restart, 1) {
 		r.estFreeAt = ev.restart
-		r.idleFrom = ev.restart
 		// The device KV cache dies with the crash: the first request
 		// dispatched after the restart carries the wipe marker into the
 		// replica's drain.
@@ -530,7 +492,7 @@ func (cx *chaos) requeue(tr engine.TimedRequest, at float64) {
 			cx.out.DeadlinesTotal++
 		}
 	}
-	if !cx.retryOn {
+	if cx.retry == nil {
 		dropIt()
 		return
 	}

@@ -20,8 +20,8 @@ func crashSchedule(r int, t, d float64) *faults.Schedule {
 func TestRetryPolicyRequeueSemantics(t *testing.T) {
 	mk := func(p RetryPolicy) (*chaos, *Metrics) {
 		out := &Metrics{}
-		var delays map[string]float64
-		return &chaos{retry: p.withDefaults(), retryOn: true, delays: &delays, out: out}, out
+		p = p.withDefaults()
+		return &chaos{retry: &p, out: out}, out
 	}
 
 	// Backoff doubles per abort; MaxAttempts bounds total dispatches.
@@ -68,10 +68,20 @@ func TestRetryPolicyRequeueSemantics(t *testing.T) {
 
 	// Retry disabled: every abort drops.
 	cx, out = mk(RetryPolicy{})
-	cx.retryOn = false
+	cx.retry = nil
 	cx.requeue(tr, 5)
 	if out.Retried != 0 || out.AbortedDropped != 1 {
 		t.Errorf("no-retry abort: retried %d abortedDropped %d, want 0/1", out.Retried, out.AbortedDropped)
+	}
+}
+
+// TestRetryValidatedWithoutFaults pins that a malformed retry policy is
+// rejected on every fleet, not only on one that has crashes to retry.
+func TestRetryValidatedWithoutFaults(t *testing.T) {
+	cfg := homogeneousFleet(2, LeastQueue)
+	cfg.Retry = &RetryPolicy{Backoff: math.NaN()}
+	if _, err := Serve(cfg, burst(4, 0.5, 0)); err == nil {
+		t.Fatal("fault-free Serve accepted Retry{Backoff: NaN}")
 	}
 }
 
@@ -96,7 +106,7 @@ func TestHealthStateBreakerLifecycle(t *testing.T) {
 	if blocked, _ := h.blockedAt(25); blocked {
 		t.Fatal("half-open breaker must admit the probe")
 	}
-	h.noteTake("p1", 25, 28)
+	h.noteTake(25, 28)
 	if blocked, until := h.blockedAt(26); !blocked || until != 28 {
 		t.Fatalf("probing breaker blockedAt(26) = %v until %v, want true/28", blocked, until)
 	}
@@ -106,7 +116,7 @@ func TestHealthStateBreakerLifecycle(t *testing.T) {
 		t.Fatalf("re-opened breaker blockedAt(31) = %v until %v, want true/35", blocked, until)
 	}
 	// Probe completes uneventfully: settle closes and resets the count.
-	h.noteTake("p2", 35, 37)
+	h.noteTake(35, 37)
 	h.settle(37)
 	if h.open || h.fails != 0 {
 		t.Fatalf("settled breaker open=%v fails=%d, want closed/0", h.open, h.fails)
@@ -332,7 +342,7 @@ func TestSessionAffinityRePinsBySurvivingWarmthAfterCrash(t *testing.T) {
 	mk := func(name string) *replica {
 		r, err := newReplica(ReplicaConfig{
 			Name: name, Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB(),
-		}.withDefaults(0), tieredOpts())
+		}.withDefaults(0), tieredOpts(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,8 +372,7 @@ func TestSessionAffinityRePinsBySurvivingWarmthAfterCrash(t *testing.T) {
 
 	// The pinned replica crashes mid-session with host DRAM persistent.
 	var out Metrics
-	var delays map[string]float64
-	cx := &chaos{ro: ro, delays: &delays, out: &out}
+	cx := &chaos{ro: ro, out: &out}
 	cx.crash(chaosEvent{at: 5100, restart: 5105, replica: 0})
 	crashed.eng.CrashResetPrefix(true)
 
@@ -430,7 +439,7 @@ func TestCrashTimelineAvailability(t *testing.T) {
 // engine's drain-time stretch — and estFinishFor only reads it under
 // health-aware routing, so a blind fleet's estimates are untouched.
 func TestThrottleAwareFinishEstimates(t *testing.T) {
-	tl := &timeline{throttles: []engine.ThrottleWindow{{From: 10, To: 20, Factor: 2}}}
+	tl := &timeline{fx: engine.FaultInjection{Throttles: []engine.ThrottleWindow{{From: 10, To: 20, Factor: 2}}}}
 	cases := []struct {
 		start, svc, want float64
 	}{
@@ -446,10 +455,10 @@ func TestThrottleAwareFinishEstimates(t *testing.T) {
 			t.Errorf("finishAfter(%v, %v) = %v, want %v", c.start, c.svc, got, c.want)
 		}
 	}
-	over := &timeline{throttles: []engine.ThrottleWindow{
+	over := &timeline{fx: engine.FaultInjection{Throttles: []engine.ThrottleWindow{
 		{From: 0, To: 10, Factor: 2}, {From: 5, To: 10, Factor: 2},
-	}}
-	if got := over.throttleAt(6); got != 4 {
+	}}}
+	if got := over.fx.ThrottleAt(6); got != 4 {
 		t.Errorf("overlapping windows must compound: throttleAt(6) = %v, want 4", got)
 	}
 	if got := over.finishAfter(5, 1); math.Abs(got-9) > 1e-9 {

@@ -8,8 +8,8 @@ import (
 	"edgereasoning/internal/session"
 )
 
-func tieredOpts() cacheOptions {
-	return cacheOptions{prefixCache: true, deviceBlocks: 64, hostTierBlocks: 128}
+func tieredOpts() engine.Config {
+	return engine.Config{PrefixCache: true, DeviceBlocks: 64, HostTierBlocks: 128}
 }
 
 func sessHist(base uint64, n int) []uint64 {
@@ -38,7 +38,7 @@ func TestSessionAffinityPrefersWarmHostOverCold(t *testing.T) {
 	mk := func(name string) *replica {
 		r, err := newReplica(ReplicaConfig{
 			Name: name, Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB(),
-		}.withDefaults(0), tieredOpts())
+		}.withDefaults(0), tieredOpts(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
