@@ -332,7 +332,7 @@ func (d *Deployment) Evaluate(bench Benchmark, pol Policy, sf int) (BenchmarkRes
 	if err != nil {
 		return BenchmarkResult{}, err
 	}
-	prompt := meanPromptTokens(bank)
+	prompt := bank.MeanPromptTokens()
 	perBranch := res.MeanTokens / float64(sf)
 	out := BenchmarkResult{
 		Benchmark: bench, Policy: pol, SF: sf,
@@ -345,17 +345,6 @@ func (d *Deployment) Evaluate(bench Benchmark, pol Policy, sf int) (BenchmarkRes
 		out.MeanLatency = d.latency.Prefill.Predict(prompt) + dres.Time
 	}
 	return out, nil
-}
-
-func meanPromptTokens(b *data.Bank) int {
-	if b.Size() == 0 {
-		return 1
-	}
-	sum := 0
-	for _, q := range b.Questions {
-		sum += q.PromptTokens
-	}
-	return sum / b.Size()
 }
 
 // PlanRecipe answers the paper's headline question: the highest-accuracy

@@ -89,18 +89,6 @@ func NewPlanner(device *hw.Device, bench data.Benchmark, seed uint64) (*Planner,
 	}, nil
 }
 
-// meanPromptTokens averages the bank's prompt lengths.
-func (p *Planner) meanPromptTokens() int {
-	if p.bank.Size() == 0 {
-		return 0
-	}
-	sum := 0
-	for _, q := range p.bank.Questions {
-		sum += q.PromptTokens
-	}
-	return sum / p.bank.Size()
-}
-
 // latencyModel returns (fitting on first use) the analytic model for a
 // spec.
 func (p *Planner) latencyModel(spec model.Spec) (LatencyModel, error) {
@@ -138,7 +126,7 @@ func (p *Planner) price(spec model.Spec, c *Candidate) error {
 	if err != nil {
 		return err
 	}
-	prompt := p.meanPromptTokens()
+	prompt := p.bank.MeanPromptTokens()
 	out := int(c.MeanTokens + 0.5)
 	if out < 1 {
 		out = 1
@@ -280,5 +268,5 @@ func (p *Planner) MaxTokensWithin(spec model.Spec, latencyBudget float64) (int, 
 	if err != nil {
 		return 0, err
 	}
-	return lm.MaxTokensWithin(p.meanPromptTokens(), latencyBudget), nil
+	return lm.MaxTokensWithin(p.bank.MeanPromptTokens(), latencyBudget), nil
 }

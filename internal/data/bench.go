@@ -64,6 +64,20 @@ type Bank struct {
 // Size returns the question count.
 func (b *Bank) Size() int { return len(b.Questions) }
 
+// MeanPromptTokens is the bank's mean prompt length, truncated to whole
+// tokens. An empty bank reports 1: every prompt costs at least one
+// prefill token, so callers never plan around a zero-length prompt.
+func (b *Bank) MeanPromptTokens() int {
+	if b.Size() == 0 {
+		return 1
+	}
+	sum := 0
+	for _, q := range b.Questions {
+		sum += q.PromptTokens
+	}
+	return sum / b.Size()
+}
+
 // profile captures how a benchmark's questions are synthesized.
 type profile struct {
 	n            int

@@ -156,3 +156,31 @@ func TestDifficultyDistributionByBenchmark(t *testing.T) {
 		t.Error("Natural-Plan must be harder than MMLU on average")
 	}
 }
+
+// TestMeanPromptTokens pins the one mean-prompt helper the planner, the
+// platform API and the experiments share, including its empty-bank
+// floor of one token.
+func TestMeanPromptTokens(t *testing.T) {
+	q := func(tokens ...int) []Question {
+		out := make([]Question, len(tokens))
+		for i, n := range tokens {
+			out[i].PromptTokens = n
+		}
+		return out
+	}
+	cases := []struct {
+		name string
+		bank Bank
+		want int
+	}{
+		{"empty bank", Bank{}, 1},
+		{"one question", Bank{Questions: q(120)}, 120},
+		{"exact mean", Bank{Questions: q(100, 200, 300)}, 200},
+		{"truncated mean", Bank{Questions: q(100, 101)}, 100},
+	}
+	for _, c := range cases {
+		if got := c.bank.MeanPromptTokens(); got != c.want {
+			t.Errorf("%s: MeanPromptTokens() = %d, want %d", c.name, got, c.want)
+		}
+	}
+}

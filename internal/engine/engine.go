@@ -4,9 +4,11 @@
 // energy through the GPU simulator. It is the substrate every
 // latency/energy experiment in the paper runs on.
 //
-// ServeSource is the engine's one admission/decode loop. Serve, Run and
-// Generate are wrappers over it: an open-loop slice, a closed batch with
-// every arrival at the current clock, and a batch of one.
+// Server is the engine's one admission/decode loop, as a stepping API
+// (push, advance, abort). ServeSource drives it over one stream; Serve,
+// Run and Generate are wrappers over ServeSource: an open-loop slice, a
+// closed batch with every arrival at the current clock, and a batch of
+// one.
 package engine
 
 import (
@@ -264,15 +266,6 @@ func buildCache(cfg Config) (*kvcache.Cache, *kvcache.PrefixIndex, error) {
 	return cache, prefix, nil
 }
 
-// Spec returns the engine's model.
-func (e *Engine) Spec() model.Spec { return e.cfg.Spec }
-
-// Device returns the engine's device.
-func (e *Engine) Device() *hw.Device { return e.cfg.Device }
-
-// Meter exposes the power meter (read-only use).
-func (e *Engine) Meter() *power.Meter { return e.meter }
-
 // Clock returns the simulated time in seconds.
 func (e *Engine) Clock() float64 { return e.clock }
 
@@ -286,14 +279,6 @@ func (e *Engine) Reset() error {
 	e.prefix = prefix
 	e.clock = 0
 	return nil
-}
-
-// MemReserveFrac exposes the configured reserve fraction.
-func (c Config) MemReserveFrac() float64 {
-	if c.MemReserve <= 0 {
-		return 0.10
-	}
-	return c.MemReserve
 }
 
 // prefill runs a prompt through the simulator and charges framework
@@ -339,15 +324,14 @@ func (e *Engine) Generate(req Request) (Metrics, error) {
 
 // activeSeq is a request mid-decode. The KV handle is resolved once at
 // admission so the decode loop never touches the cache's sequence map;
-// arrival/deadline ride along here instead of in side maps.
+// the request itself rides along (arrival, deadline, session, and token
+// identities) instead of in side maps.
 type activeSeq struct {
-	req       Request
+	tr        TimedRequest
 	handle    kvcache.Handle
 	ctx       int // prompt + generated so far
 	remaining int
 	metrics   Metrics
-	arrival   float64
-	deadline  float64
 	// residency is the request's DVFS residency factor, keyed on its own
 	// run length (OutputTokens) once at admission, so decode energy does
 	// not depend on how the loop happens to chunk the run.
@@ -355,47 +339,36 @@ type activeSeq struct {
 	// slot is the arena index this sequence occupies, so the serve loop
 	// can return it to the free list on completion.
 	slot int
-	// admitAt is the clock at the admission decision (the request span's
-	// start when tracing); session carries the request's session tag for
-	// span attribution. Both are plain copies — no tracing cost when off.
+	// since is when the request became visible to the engine and admitAt
+	// the clock at its admission decision: the request span starts at
+	// admitAt and its replica-local wait is admitAt - since.
+	since   float64
 	admitAt float64
-	session string
-	// promptSyms/outputSyms carry the request's token identities so the
-	// finished sequence can be retained in the prefix index (nil when the
-	// engine has no prefix cache or the request carried none).
-	promptSyms []uint64
-	outputSyms []uint64
 }
 
-// reap records every completed sequence (remaining <= 0) through finish —
-// in descending index order, matching the historical deletion loop so
+// reap moves every completed sequence (remaining <= 0) to done — in
+// descending index order, matching the historical deletion loop so
 // completion-ordered outputs are unchanged — then compacts the active
 // set in one order-preserving, allocation-free pass.
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func reap(active []*activeSeq, finish func(*activeSeq) error) ([]*activeSeq, error) {
-	done := 0
-	for i := len(active) - 1; i >= 0; i-- {
-		if active[i].remaining <= 0 {
-			if err := finish(active[i]); err != nil {
-				return active, err
-			}
-			done++
+func (s *Server) reap() {
+	for i := len(s.active) - 1; i >= 0; i-- {
+		if s.active[i].remaining <= 0 {
+			s.done = append(s.done, s.active[i])
 		}
 	}
-	if done == 0 {
-		return active, nil
+	if len(s.done) == 0 {
+		return
 	}
-	kept := active[:0]
-	for _, s := range active {
-		if s.remaining > 0 {
-			kept = append(kept, s)
+	kept := s.active[:0]
+	for _, a := range s.active {
+		if a.remaining > 0 {
+			kept = append(kept, a)
 		}
 	}
-	for i := len(kept); i < len(active); i++ {
-		active[i] = nil // no stale pointers past the compacted tail
-	}
-	return kept, nil
+	clear(s.active[len(kept):]) // no stale pointers past the compacted tail
+	s.active = kept
 }
 
 // Run executes reqs FCFS with continuous batching up to maxBatch
@@ -433,16 +406,4 @@ func (e *Engine) PeekPrefix(syms []uint64) (deviceBlocks, hostBlocks int) {
 		return 0, 0
 	}
 	return e.prefix.Peek(syms)
-}
-
-// CrashResetPrefix crash-wipes the engine's prefix index (a no-op
-// without one): device-resident entries are dropped — HBM does not
-// survive a power loss — and keepHost preserves fully host-resident
-// chains, modeling persistent host DRAM. Exposed for serving layers
-// that model replica crashes outside a serve run; during a run the
-// wipe is driven by ServeOpts.Faults crash markers instead.
-func (e *Engine) CrashResetPrefix(keepHost bool) {
-	if e.prefix != nil {
-		e.prefix.CrashReset(keepHost)
-	}
 }

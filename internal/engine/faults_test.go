@@ -123,47 +123,63 @@ func TestServeThrottleStretchesDecodeNotEnergy(t *testing.T) {
 	}
 }
 
-// TestServeCrashWipeFiresBeforeMarkedRequest pins the crash-boundary
-// contract: the prefix cache is wiped immediately before the marked
-// request is admitted, so pre-crash history gives it no hit, and the
-// fired marker is consumed.
-func TestServeCrashWipeFiresBeforeMarkedRequest(t *testing.T) {
+// TestServerAbortCutsInFlightWork pins the crash contract of the
+// stepping API: an abort at x returns every request not completed by x —
+// the one mid-decode, charged exactly the device time it received before
+// x, and the one still queued, charged none — frees their KV blocks,
+// wipes the device prefix cache, and leaves the engine serving again.
+func TestServerAbortCutsInFlightWork(t *testing.T) {
 	e := newPrefixEngine(t, model.DSR1Qwen1_5B)
 	history := make([]uint64, 256)
 	for i := range history {
 		history[i] = uint64(1000 + i)
 	}
-	warm, err := e.Serve([]TimedRequest{sessTimed("t1", 0, history, 128, 64)}, 1, FCFS)
+	if _, err := e.Serve([]TimedRequest{sessTimed("t1", 0, history, 128, 64)}, 1, FCFS); err != nil {
+		t.Fatal(err)
+	}
+	start := e.Clock() + 1
+	s := e.Start(1, FCFS, ServeOpts{})
+	if err := s.AdvanceTo(start); err != nil {
+		t.Fatal(err)
+	}
+	s.Push(sessTimed("t2", start, history, 192, 400))
+	s.Push(sessTimed("t3", start-0.5, history, 192, 64))
+	x := start + 2
+	if err := s.AdvanceTo(x); err != nil {
+		t.Fatal(err)
+	}
+	if e.Clock() <= x {
+		t.Fatalf("setup: clock %.6f stopped at a decision point, want an event straddling %.6f", e.Clock(), x)
+	}
+	lost := s.Abort(x, false)
+	if len(lost) != 2 || lost[0].ID != "t2" || lost[1].ID != "t3" {
+		t.Fatalf("aborted %v, want [t2 t3]", lost)
+	}
+	if d := lost[0].Device; math.Abs(d-(x-start)) > 1e-9 {
+		t.Errorf("in-flight attempt received %.9f s of device time, want %.9f", d, x-start)
+	}
+	if lost[1].Device != 0 || lost[1].Since != start || lost[1].Arrival != start-0.5 {
+		t.Errorf("queued abort %+v, want no device time, visible at %v, true arrival kept", lost[1], start)
+	}
+	if used := e.CacheStats().UsedBlocks; used != 0 {
+		t.Errorf("%d KV blocks still held after the crash", used)
+	}
+	if pm := e.PrefixMetrics(); pm.CrashResets != 1 || pm.Retained != 0 {
+		t.Errorf("prefix metrics wipes %d retained %d, want 1 wipe and an empty device cache", pm.CrashResets, pm.Retained)
+	}
+	// The wiped engine serves again, cold.
+	if err := s.AdvanceTo(x + 10); err != nil {
+		t.Fatal(err)
+	}
+	s.Push(sessTimed("t4", x+10, history, 192, 32))
+	m, err := s.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.PrefixLookups != 1 {
-		t.Fatalf("warm-up consulted the cache %d times, want 1", warm.PrefixLookups)
-	}
-
-	// Same prefix again, but marked as the replica's post-crash boundary.
-	next := sessTimed("t2", e.Clock()+1, history, 192, 64)
-	fx := &FaultInjection{CrashWipes: map[string]bool{"t2": false}}
-	m, err := e.ServeSource(NewSliceSource([]TimedRequest{next}), 1, FCFS, ServeOpts{Faults: fx})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.SavedPrefillTokens != 0 {
-		t.Errorf("marked request saved %d prefill tokens, want 0 (cache wiped first)", m.SavedPrefillTokens)
-	}
-	if pm := e.PrefixMetrics(); pm.CrashWipes != 1 || pm.CrashDropped == 0 {
-		t.Errorf("prefix metrics wipes %d dropped %d, want 1 wipe with drops", pm.CrashWipes, pm.CrashDropped)
-	}
-	if len(fx.CrashWipes) != 0 {
-		t.Errorf("fired wipe marker not consumed: %v", fx.CrashWipes)
-	}
-
-	// The wiped cache rebuilds: the next turn over the same history hits.
-	again, err := e.Serve([]TimedRequest{sessTimed("t3", e.Clock()+1, history, 192, 32)}, 1, FCFS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.SavedPrefillTokens == 0 {
-		t.Error("post-crash traffic must rebuild the cache and hit again")
+	// Two admissions consulted the cache: t2 before the crash hit t1's
+	// history, t4 after it found nothing.
+	if m.Served != 1 || m.PrefixLookups != 2 || m.PrefixHits != 1 {
+		t.Errorf("post-crash run served %d with %d lookups and %d hits, want 1 served, 2 lookups, 1 hit (pre-crash only)",
+			m.Served, m.PrefixLookups, m.PrefixHits)
 	}
 }

@@ -115,17 +115,16 @@ type ServeOpts struct {
 	// expected request count (the slice-API wrapper passes len(reqs)).
 	SizeHint int
 	// Faults injects replica-level fault behavior into this run: stall
-	// windows (the device makes no progress), thermal-throttle windows
-	// (decode time stretched by a factor), and crash-boundary prefix
-	// wipes keyed by request ID. Nil serves undisturbed — the default
-	// path is byte-identical with the field unset.
+	// windows (the device makes no progress) and thermal-throttle windows
+	// (decode time stretched by a factor). Nil serves undisturbed — the
+	// default path is byte-identical with the field unset.
 	Faults *FaultInjection
 }
 
 // FaultInjection is the per-run fault timeline a serving layer hands the
-// engine: the engine applies the timing effects (stalls, throttling) and
-// the crash-boundary cache wipes, while abort/retry decisions stay with
-// the dispatcher that owns the request stream.
+// engine: the engine applies the timing effects (stalls, throttling),
+// while crashes reach it through Server.Abort from the driver that owns
+// the request stream.
 type FaultInjection struct {
 	// Stalls are no-progress windows: a prefill or decode event that
 	// would start inside [From, To) starts at To instead. Events are
@@ -135,13 +134,6 @@ type FaultInjection struct {
 	// inside the window — a thermal cap. Energy is unchanged: the same
 	// tokens cost the same joules, spread over more seconds.
 	Throttles []ThrottleWindow
-	// CrashWipes maps request IDs to host-tier survival: the engine
-	// crash-resets its prefix index immediately before admitting that
-	// request (the dispatcher marks the first request routed to the
-	// replica after each crash restart, so the wipe lands between the
-	// pre-crash survivors and the post-restart traffic). Fired markers
-	// are deleted from the map.
-	CrashWipes map[string]bool
 }
 
 // StallWindow is one no-progress interval [From, To).
@@ -185,23 +177,31 @@ func (f *FaultInjection) ThrottleAt(t float64) float64 {
 	return m
 }
 
+// queued is a ready-queue entry: the request and the instant it became
+// visible to the engine (its arrival under ServeSource, its dispatch
+// under a router).
+type queued struct {
+	TimedRequest
+	at float64
+}
+
 // readyQueue is the admission queue: head-indexed so popping the front is
 // O(1) without reslicing-away reusable capacity, compacted amortizedly so
 // the dead prefix never exceeds the live region. Popped slots are zeroed
 // so a drained queue pins no request payloads (PromptSyms histories are
 // the bulk of a session stream's bytes).
 type readyQueue struct {
-	buf  []TimedRequest
+	buf  []queued
 	head int
 }
 
-func (q *readyQueue) len() int            { return len(q.buf) - q.head }
-func (q *readyQueue) front() TimedRequest { return q.buf[q.head] }
+func (q *readyQueue) len() int      { return len(q.buf) - q.head }
+func (q *readyQueue) front() queued { return q.buf[q.head] }
 
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (q *readyQueue) pushBack(tr TimedRequest) {
+func (q *readyQueue) pushBack(r queued) {
 	q.reserve()
-	q.buf = append(q.buf, tr)
+	q.buf = append(q.buf, r)
 }
 
 // reserve seeds the backing array at a 16-slot floor on first use so a
@@ -210,19 +210,17 @@ func (q *readyQueue) pushBack(tr TimedRequest) {
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
 func (q *readyQueue) reserve() {
 	if q.buf == nil {
-		q.buf = make([]TimedRequest, 0, 16) //edgereasoning:allow hotpath -- one-time 16-slot floor, paid once per queue
+		q.buf = make([]queued, 0, 16) //edgereasoning:allow hotpath -- one-time 16-slot floor, paid once per queue
 	}
 }
 
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
 func (q *readyQueue) popFront() {
-	q.buf[q.head] = TimedRequest{}
+	q.buf[q.head] = queued{}
 	q.head++
 	if q.head >= 64 && q.head*2 >= len(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])
-		for i := n; i < len(q.buf); i++ {
-			q.buf[i] = TimedRequest{}
-		}
+		clear(q.buf[n:])
 		q.buf = q.buf[:n]
 		q.head = 0
 	}
@@ -238,21 +236,21 @@ func edfKey(d float64) float64 {
 	return d
 }
 
-// insertEDF places tr at its earliest-deadline-first position, after any
+// insertEDF places r at its earliest-deadline-first position, after any
 // queued request with an equal key — element-for-element what a stable
 // sort of the whole queue produces, without re-sorting the sorted part.
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (q *readyQueue) insertEDF(tr TimedRequest) {
-	key := edfKey(tr.Deadline)
+func (q *readyQueue) insertEDF(r queued) {
+	key := edfKey(r.Deadline)
 	q.reserve()
-	q.buf = append(q.buf, tr)
+	q.buf = append(q.buf, r)
 	j := len(q.buf) - 1
 	for j > q.head && edfKey(q.buf[j-1].Deadline) > key {
 		q.buf[j] = q.buf[j-1]
 		j--
 	}
-	q.buf[j] = tr
+	q.buf[j] = r
 }
 
 // Serve executes an open-loop workload: requests become visible at their
@@ -268,381 +266,567 @@ func (e *Engine) Serve(reqs []TimedRequest, maxBatch int, policy SchedPolicy) (S
 }
 
 // admitGrain caps a decode chunk, in steps, whenever a request is pending
-// (queued or not yet arrived). It bounds admission latency: the loop
-// reconsiders admission at most admitGrain decode steps after a request
-// arrives. The cap also applies at full batch, where it admits nothing;
-// it stays there because dropping it would move every batched latency.
+// (queued, or more input may still be pushed). It bounds admission
+// latency: the loop reconsiders admission at most admitGrain decode steps
+// after a request arrives. The cap also applies at full batch, where it
+// admits nothing; it stays there because dropping it would move every
+// batched latency.
 const admitGrain = 16
 
-// ServeSource is the engine's one admission/decode loop: requests are
-// pulled from src (non-decreasing Arrival order) as simulated time
-// reaches them, so live memory scales with the in-flight set — ready
-// backlog plus maxBatch active decoders — not the stream length. Per-run
-// bookkeeping (sequence arena, ready queue, decode scratch) is sized by
-// maxBatch and recycled, keeping the steady-state loop allocation-free.
-// Prefill is unbatched (the paper's configuration); decode advances in
-// closed-form chunks between events, each chunk's energy shared equally
-// by its active sequences.
+// ServeSource serves one stream: requests are pulled from src
+// (non-decreasing Arrival order) as simulated time reaches them and
+// pushed into a Server, so live memory scales with the in-flight set —
+// ready backlog plus maxBatch active decoders — not the stream length.
 func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts ServeOpts) (ServeMetrics, error) {
+	s := e.Start(maxBatch, policy, opts)
+	for first := true; ; first = false {
+		tr, ok := src.Next()
+		if !ok {
+			break
+		}
+		if first && e.clock > tr.Arrival {
+			return ServeMetrics{}, fmt.Errorf("engine: clock %.3f already past first arrival %.3f", e.clock, tr.Arrival)
+		}
+		if err := s.AdvanceTo(tr.Arrival); err != nil {
+			return s.out, err
+		}
+		s.Push(tr)
+	}
+	return s.Finish()
+}
+
+// Server is one serve run in progress: the engine's single admission/
+// decode loop as a stepping API. A driver pushes requests as they become
+// visible (Push), moves the clock to the instants it cares about
+// (AdvanceTo), and may crash the work in flight (Abort); Finish runs the
+// rest to completion. ServeSource drives one Server over one stream; the
+// fleet router drives one per replica, all on one clock.
+//
+// Events — a prefill, or a decode chunk — are atomic: AdvanceTo(t) runs
+// every event that starts before t, so the clock may pass t by part of
+// one event, and a request pushed meanwhile is seen when that event ends.
+// Per-run bookkeeping (sequence arena, ready queue, decode scratch) is
+// sized by maxBatch and recycled, keeping the steady-state loop
+// allocation-free. Prefill is unbatched (the paper's configuration);
+// decode advances in closed-form chunks between events, each chunk's
+// energy shared equally by its active sequences.
+type Server struct {
+	e        *Engine
+	maxBatch int
+	policy   SchedPolicy
+	lean     bool
+	fx       *FaultInjection
+	// Tracing is resolved once per run; every producer site guards on
+	// tra, so a nil tracer pays one pointer compare and the run's timing
+	// and metrics stay byte-identical with tracing off.
+	tra                         telemetry.Tracer
+	kvGauge, actGauge, powGauge *telemetry.Series
+	ttftHist, rateHist          *stats.Histogram
+
+	ready  readyQueue
+	active []*activeSeq
+	// done holds the sequences the latest event completed. They are
+	// recorded once the clock moves on from that event's end, so a crash
+	// landing inside the event can still abort them.
+	done []*activeSeq
+	// Arena of sequence bookkeeping: maxBatch slots recycled through a
+	// free list cover any stream length; slot pointers stay stable.
+	arena     []activeSeq
+	freeSlots []int
+	// futureGrowth is the worst-case block demand of the active set's
+	// remaining decode, kept incrementally. Admission reserves against it
+	// so a request never exhausts the cache mid-decode (the simulator's
+	// stand-in for vLLM's preemption machinery).
+	futureGrowth int
+	ctxs         []int // scratch, reused every decode event
+	out          ServeMetrics
+	start        float64
+	// now is the latest instant the driver advanced to — when a push
+	// becomes visible. open reports that more pushes may come; while it
+	// holds, decode chunks stop at the admission grain.
+	now  float64
+	open bool
+	// The latest event: its work start (after any stall), its end, its
+	// energy, and for a prefill its one sequence (nil for a decode chunk,
+	// which runs every in-flight sequence). Abort cuts it at a crash.
+	evFrom, evEnd, evEnergy float64
+	evSeq                   *activeSeq
+	err                     error
+}
+
+// Start opens a serve run at the engine's clock. maxBatch bounds
+// concurrent decoders; policy orders the ready queue.
+func (e *Engine) Start(maxBatch int, policy SchedPolicy, opts ServeOpts) *Server {
 	if maxBatch <= 0 {
 		maxBatch = 1
 	}
-	in := NewPeekable(src)
-	if tr, ok := in.Peek(); ok && e.clock > tr.Arrival {
-		return ServeMetrics{}, fmt.Errorf("engine: clock %.3f already past first arrival %.3f", e.clock, tr.Arrival)
+	// active and done share one allocation, as do freeSlots and ctxs:
+	// together they never hold more than maxBatch sequences each.
+	seqs := make([]*activeSeq, 2*maxBatch)
+	ints := make([]int, 2*maxBatch)
+	s := &Server{
+		e: e, maxBatch: maxBatch, policy: policy, lean: opts.LeanMetrics, fx: opts.Faults,
+		tra:       e.cfg.Trace,
+		active:    seqs[:0:maxBatch],
+		done:      seqs[maxBatch:maxBatch],
+		arena:     make([]activeSeq, maxBatch),
+		freeSlots: ints[:maxBatch:maxBatch],
+		ctxs:      ints[maxBatch:maxBatch],
+		start:     e.clock, now: e.clock, evFrom: e.clock, evEnd: e.clock, open: true,
 	}
-	fx := opts.Faults
-	// Tracing is resolved once per run; every producer site below guards
-	// on tra so a nil tracer pays exactly one pointer compare and the
-	// run's timing and metrics stay byte-identical with tracing off.
-	tra := e.cfg.Trace
-	var (
-		kvGauge, actGauge, powGauge *telemetry.Series
-		ttftHist, rateHist          *stats.Histogram
-	)
-	if tra != nil {
-		kvGauge = tra.Gauge("kv_used_blocks")
-		actGauge = tra.Gauge("active_requests")
-		powGauge = tra.Gauge("power_watts")
-		ttftHist = tra.Histogram("ttft_seconds", telemetry.TTFTBuckets)
-		rateHist = tra.Histogram("decode_tokens_per_sec", telemetry.DecodeRateBuckets)
+	for i := range s.freeSlots {
+		s.freeSlots[i] = maxBatch - 1 - i
 	}
-
-	var ready readyQueue
-	active := make([]*activeSeq, 0, maxBatch)
-	// Arena of sequence bookkeeping: at most maxBatch sequences are ever
-	// live, so maxBatch slots recycled through a free list cover any
-	// stream length. Slot pointers are stable for the run's lifetime.
-	arena := make([]activeSeq, maxBatch)
-	freeSlots := make([]int, maxBatch)
-	for i := range freeSlots {
-		freeSlots[i] = maxBatch - 1 - i
-	}
-	var out ServeMetrics
 	if !opts.LeanMetrics {
-		out.Requests = make([]Metrics, 0, opts.SizeHint)
+		s.out.Requests = make([]Metrics, 0, opts.SizeHint)
 	}
-	out.Latencies = make([]float64, 0, opts.SizeHint)
+	s.out.Latencies = make([]float64, 0, opts.SizeHint)
+	if tra := s.tra; tra != nil {
+		s.kvGauge = tra.Gauge("kv_used_blocks")
+		s.actGauge = tra.Gauge("active_requests")
+		s.powGauge = tra.Gauge("power_watts")
+		s.ttftHist = tra.Histogram("ttft_seconds", telemetry.TTFTBuckets)
+		s.rateHist = tra.Histogram("decode_tokens_per_sec", telemetry.DecodeRateBuckets)
+	}
+	return s
+}
 
-	// futureGrowth is the worst-case block demand of the active set's
-	// remaining decode. Admission reserves against it so a request can
-	// never exhaust the cache mid-decode (the simulator's stand-in for
-	// vLLM's preemption machinery). It is maintained incrementally (admit
-	// adds, append subtracts) instead of rescanned per admission attempt.
-	futureGrowth := 0
-	ctxs := make([]int, 0, maxBatch) // scratch, reused every decode event
-	promote := func() {
-		for {
-			tr, ok := in.Peek()
-			if !ok || tr.Arrival > e.clock+1e-12 {
-				break
-			}
-			in.Next()
-			if policy == EDF {
-				ready.insertEDF(tr)
-			} else {
-				ready.pushBack(tr)
-			}
-		}
+// Push makes tr visible to the engine at the latest AdvanceTo instant.
+// Its latency runs from tr.Arrival, which may precede that instant (time
+// spent waiting upstream of the engine).
+func (s *Server) Push(tr TimedRequest) {
+	if s.policy == EDF {
+		s.ready.insertEDF(queued{tr, s.now})
+	} else {
+		s.ready.pushBack(queued{tr, s.now})
 	}
-	finish := func(s *activeSeq) error {
-		if e.prefix != nil && len(s.promptSyms) >= s.req.PromptTokens {
-			// Retain the finished history (prompt + known output identities)
-			// for the session's next turn instead of dropping the blocks.
-			outSyms := s.outputSyms
-			if len(outSyms) > s.req.OutputTokens {
-				outSyms = outSyms[:s.req.OutputTokens]
-			}
-			if err := e.prefix.Release(s.handle, s.promptSyms[:s.req.PromptTokens], outSyms); err != nil {
-				return err
-			}
-		} else if err := e.cache.FreeH(s.handle); err != nil {
-			return err
-		}
-		lat := e.clock - s.arrival
-		out.Latencies = append(out.Latencies, lat)
-		out.Served++
-		if s.deadline > 0 {
-			out.DeadlinesTotal++
-			if e.clock <= s.deadline {
-				out.DeadlinesMet++
-			}
-		}
-		if !opts.LeanMetrics {
-			s.metrics.QueueTime = lat - s.metrics.TotalTime()
-			out.Requests = append(out.Requests, s.metrics)
-		}
-		if tra != nil {
-			tra.Record(telemetry.Span{ID: s.req.ID, Kind: telemetry.KindRequest,
-				Lane: s.slot, Start: s.admitAt, End: e.clock, Session: s.session,
-				Wait:   s.admitAt - s.arrival,
-				Tokens: s.req.PromptTokens + s.req.OutputTokens,
-				Cached: s.metrics.CachedPromptTokens})
-			if s.metrics.DecodeTime > 0 {
-				rateHist.Observe(float64(s.req.OutputTokens) / s.metrics.DecodeTime)
-			}
-		}
-		out.TotalTokens += s.req.PromptTokens + s.req.OutputTokens
-		s.promptSyms, s.outputSyms = nil, nil
-		freeSlots = append(freeSlots, s.slot)
-		return nil
-	}
+}
 
-	start := e.clock
-	for in.More() || ready.len() > 0 || len(active) > 0 {
-		promote()
-		// Idle: jump to the next arrival.
-		if len(active) == 0 && ready.len() == 0 {
-			tr, ok := in.Peek()
-			if !ok {
-				break
-			}
-			e.clock = tr.Arrival
-			continue
-		}
-		// Admit from the ready queue.
-		for ready.len() > 0 && len(active) < maxBatch {
-			tr := ready.front()
-			if tr.PromptTokens <= 0 {
-				return out, fmt.Errorf("engine: request %q has no prompt", tr.ID)
-			}
-			// A crash boundary: the dispatcher marked this request as the
-			// first one routed after the replica's crash restart, so the
-			// prefix cache is wiped before admission even probes it.
-			if fx != nil && e.prefix != nil && len(fx.CrashWipes) > 0 {
-				if keep, ok := fx.CrashWipes[tr.ID]; ok {
-					e.prefix.CrashReset(keep)
-					delete(fx.CrashWipes, tr.ID)
-				}
-			}
-			worstCase := e.blocksFor(tr.PromptTokens + tr.OutputTokens)
-			// With a prefix cache, retained blocks are reclaimable
-			// capacity. Probe first — touching the matched chain makes it
-			// MRU, so eviction spares it — then evict cold prefixes until
-			// the unmatched demand fits. Under extreme pressure eviction
-			// can still trim the probed chain itself (growing the demand),
-			// so re-probe and repeat until the demand fits or nothing is
-			// left to evict; the final probe is exactly what Acquire finds.
-			var syms []uint64
-			probedBlocks := 0
-			if e.prefix != nil {
-				if len(tr.PromptSyms) >= tr.PromptTokens {
-					syms = tr.PromptSyms[:tr.PromptTokens]
-					probedBlocks = e.prefix.Probe(syms)
-				}
-				for worstCase-probedBlocks+futureGrowth > e.cache.FreeBlocks() {
-					// Progress is measured in reclaimed capacity, not eviction
-					// counts: EnsureFree stops on a zero-reclaim round (shared
-					// leaves), and with a host tier demotions free blocks
-					// without bumping Evictions at all.
-					before := e.cache.FreeBlocks()
-					e.prefix.EnsureFree(worstCase - probedBlocks + futureGrowth)
-					if e.cache.FreeBlocks() == before {
-						break
-					}
-					if syms != nil {
-						probedBlocks = e.prefix.Probe(syms)
-					}
-				}
-			}
-			if worstCase-probedBlocks+futureGrowth > e.cache.FreeBlocks() {
-				if len(active) > 0 {
-					break
-				}
-				return out, fmt.Errorf("engine: request %q exceeds KV capacity even alone", tr.ID)
-			}
-			ready.popFront()
-			matched := 0
-			restore := 0.0
-			if syms != nil {
-				restoreBefore := e.prefix.Metrics().RestoreSeconds
-				m, err := e.prefix.Acquire(tr.ID, syms)
-				if err != nil {
-					return out, err
-				}
-				matched = m
-				out.PrefixLookups++
-				out.PrefixLookupTokens += tr.PromptTokens
-				if matched > 0 {
-					out.PrefixHits++
-					out.SavedPrefillTokens += matched
-				}
-				// A matched chain segment that had been demoted to host DRAM
-				// was just promoted back; its transfer time lands on this
-				// request's clock, ahead of prefill (part of TTFT).
-				if restore = e.prefix.Metrics().RestoreSeconds - restoreBefore; restore > 0 {
-					out.HostHits++
-					out.RestoreSeconds += restore
-				}
-			} else if err := e.cache.AllocateReserve(tr.ID, tr.PromptTokens,
-				tr.PromptTokens+tr.OutputTokens); err != nil {
-				return out, err
-			}
-			slot := freeSlots[len(freeSlots)-1]
-			freeSlots = freeSlots[:len(freeSlots)-1]
-			s := &arena[slot]
-			*s = activeSeq{req: tr.Request, ctx: tr.PromptTokens, remaining: tr.OutputTokens,
-				arrival: tr.Arrival, deadline: tr.Deadline,
-				residency: e.meter.Residency(tr.OutputTokens), slot: slot,
-				admitAt: e.clock, session: tr.SessionID}
-			if e.prefix != nil {
-				s.promptSyms, s.outputSyms = tr.PromptSyms, tr.OutputSyms
-			}
-			h, err := e.cache.Lookup(tr.ID)
-			if err != nil {
-				return out, err
-			}
-			s.handle = h
-			if err := e.cache.ReserveH(h, tr.PromptTokens+tr.OutputTokens); err != nil {
-				return out, err
-			}
-			if syms != nil {
-				// Acquire seeded only the matched blocks; append the
-				// suffix the prefill below computes (the whole prompt on a
-				// cold start).
-				if err := e.cache.AppendTokensH(h, tr.PromptTokens-matched); err != nil {
-					return out, err
-				}
-			}
-			futureGrowth += worstCase - e.blocksFor(tr.PromptTokens)
-			s.metrics = Metrics{ID: tr.ID, PromptTokens: tr.PromptTokens,
-				OutputTokens: tr.OutputTokens, CachedPromptTokens: matched,
-				RestoreTime: restore}
-			if fx != nil {
-				// A stalled device starts the restore+prefill at the
-				// window's end; the wait lands in this request's TTFT.
-				if st := fx.StallEnd(e.clock); st > e.clock {
-					if tra != nil {
-						tra.Record(telemetry.Span{ID: tr.ID, Kind: telemetry.KindStall,
-							Lane: slot, Start: e.clock, End: st})
-					}
-					e.clock = st
-				}
-			}
-			if tra != nil && restore > 0 {
-				tra.Record(telemetry.Span{ID: tr.ID, Kind: telemetry.KindRestore,
-					Lane: slot, Start: e.clock, End: e.clock + restore})
-			}
-			e.clock += restore
-			res, err := e.prefill(tr.PromptTokens - matched)
-			if err != nil {
-				return out, err
-			}
-			if tra != nil {
-				tra.Record(telemetry.Span{ID: tr.ID, Kind: telemetry.KindPrefill,
-					Lane: slot, Start: e.clock, End: e.clock + res.Time,
-					Tokens: tr.PromptTokens - matched, Cached: matched})
-				ttftHist.Observe(e.clock + res.Time - tr.Arrival)
-			}
-			e.clock += res.Time
-			out.Events++
-			s.metrics.PrefillTime = res.Time
-			s.metrics.PrefillEnergy = e.meter.Energy(res)
-			out.TotalEnergy += s.metrics.PrefillEnergy
-			active = append(active, s)
-			if tra != nil {
-				kvGauge.Sample(e.clock, float64(e.cache.UsedBlocks()))
-				actGauge.Sample(e.clock, float64(len(active)))
-			}
-			promote()
-		}
-		if len(active) == 0 {
-			continue
-		}
-		// Decode until the next event: completion, or the admission grain
-		// while anything is pending.
-		chunk := active[0].remaining
-		for _, s := range active {
-			if s.remaining < chunk {
-				chunk = s.remaining
-			}
-		}
-		if chunk <= 0 {
-			var err error
-			if active, err = reap(active, finish); err != nil {
-				return out, err
-			}
-			continue
-		}
-		if (in.More() || ready.len() > 0) && chunk > admitGrain {
-			chunk = admitGrain
-		}
-		ctxs = ctxs[:0]
-		residency := 0.0
-		for _, s := range active {
-			ctxs = append(ctxs, s.ctx)
-			residency += s.residency
-		}
-		if fx != nil {
-			// No decode progress inside a stall window.
-			if st := fx.StallEnd(e.clock); st > e.clock {
-				if tra != nil {
-					for _, s := range active {
-						tra.Record(telemetry.Span{ID: s.req.ID, Kind: telemetry.KindStall,
-							Lane: s.slot, Start: e.clock, End: st})
-					}
-				}
-				e.clock = st
-			}
-		}
-		res := e.decodeChunk(ctxs, chunk)
-		// The chunk runs at the active sequences' mean residency factor,
-		// each keyed on its own run length, so splitting a run into more
-		// chunks changes neither its time nor its energy.
-		energy := e.meter.PowerAt(res, residency/float64(len(active))) * res.Time
-		throttleF := 1.0
-		if fx != nil {
-			// Thermal throttle: the chunk's tokens take Factor times as
-			// long (energy is computed from the unstretched result — the
-			// same work, spread over more seconds at lower power).
-			if f := fx.ThrottleAt(e.clock); f > 1 {
-				res.Time *= f
-				throttleF = f
-			}
-		}
-		decodeFrom := e.clock
-		e.clock += res.Time
-		out.Events++
-		out.TotalEnergy += energy
-		perSeqEnergy := energy / float64(len(active))
-		for _, s := range active {
-			if err := e.cache.AppendTokensH(s.handle, chunk); err != nil {
-				return out, err
-			}
-			futureGrowth -= e.blocksFor(s.ctx+chunk) - e.blocksFor(s.ctx)
-			s.ctx += chunk
-			s.remaining -= chunk
-			s.metrics.DecodeTime += res.Time
-			s.metrics.DecodeEnergy += perSeqEnergy
-		}
-		if tra != nil {
-			cause := ""
-			if throttleF > 1 {
-				cause = "throttle"
-			}
-			for _, s := range active {
-				tra.Record(telemetry.Span{ID: s.req.ID, Kind: telemetry.KindDecode,
-					Lane: s.slot, Start: decodeFrom, End: e.clock,
-					Tokens: chunk, Cause: cause, Factor: throttleF})
-			}
-			kvGauge.Sample(e.clock, float64(e.cache.UsedBlocks()))
-			actGauge.Sample(e.clock, float64(len(active)))
-			if res.Time > 0 {
-				powGauge.Sample(e.clock, energy/res.Time)
-			}
-		}
-		var err error
-		if active, err = reap(active, finish); err != nil {
-			return out, err
+// AdvanceTo runs every event that starts before t (within 1e-12) and
+// records the completions reached by t; an idle engine's clock jumps to
+// t. The first error sticks: later calls return it without running.
+func (s *Server) AdvanceTo(t float64) error {
+	for s.err == nil && s.e.clock+1e-12 < t {
+		if !s.Step() && s.err == nil {
+			s.e.clock = t
 		}
 	}
-	out.WallTime = e.clock - start
-	out.PeakKVBlocks = e.cache.PeakUsed()
+	s.now = math.Max(s.now, t)
+	if s.e.clock <= t {
+		s.commit()
+	}
+	return s.err
+}
+
+// OutstandingAt counts the requests the engine holds and has not
+// completed by t — ready queue plus active batch — where t is at or after
+// the start of its latest event.
+func (s *Server) OutstandingAt(t float64) int {
+	n := s.ready.len() + len(s.active)
+	if s.e.clock > t {
+		n += len(s.done)
+	}
+	return n
+}
+
+// Backlog is the work the engine still owes: prompt tokens queued for
+// prefill and output tokens left to decode.
+func (s *Server) Backlog() (prefill, decode int) {
+	for _, q := range s.ready.buf[s.ready.head:] {
+		prefill += q.PromptTokens
+		decode += q.OutputTokens
+	}
+	for _, a := range s.active {
+		decode += a.remaining
+	}
+	return prefill, decode
+}
+
+// Served counts the requests recorded as completed so far.
+func (s *Server) Served() int { return s.out.Served }
+
+// IdleSince is the end of the latest event — when an engine with nothing
+// outstanding went idle.
+func (s *Server) IdleSince() float64 { return s.evEnd }
+
+// Aborted is a request a crash destroyed: the attempt became visible to
+// the engine at Since and had received Device seconds of device time.
+type Aborted struct {
+	TimedRequest
+	Since, Device float64
+}
+
+// Abort crashes the run at x; the caller has advanced it to x. Every
+// request not completed by x — queued, mid-prefill or mid-decode — is
+// dropped with its KV blocks, and the device prefix cache is wiped
+// (keepHost preserves the host tier). An event still running at x is cut
+// there: its unexecuted part is charged neither as device time nor as
+// energy. In-flight requests come back in admission order, then the
+// ready queue in its order.
+func (s *Server) Abort(x float64, keepHost bool) []Aborted {
+	e := s.e
+	cut := 0.0
+	if e.clock > x {
+		cut = e.clock - math.Max(x, s.evFrom)
+		if w := e.clock - s.evFrom; w > 0 {
+			s.out.TotalEnergy -= s.evEnergy * cut / w
+		}
+	} else {
+		s.commit()
+	}
+	inflight := append(s.done, s.active...)
+	sort.SliceStable(inflight, func(i, j int) bool { return inflight[i].admitAt < inflight[j].admitAt })
+	lost := make([]Aborted, 0, len(inflight)+s.ready.len())
+	for _, a := range inflight {
+		dev := a.metrics.TotalTime()
+		if s.evSeq == nil || s.evSeq == a {
+			dev -= cut
+		}
+		if err := e.cache.FreeH(a.handle); err != nil && s.err == nil {
+			s.err = err
+		}
+		lost = append(lost, Aborted{a.tr, a.since, dev})
+		s.freeSlots = append(s.freeSlots, a.slot)
+		*a = activeSeq{}
+	}
+	for _, q := range s.ready.buf[s.ready.head:] {
+		lost = append(lost, Aborted{TimedRequest: q.TimedRequest, Since: q.at})
+	}
+	clear(s.ready.buf)
+	s.ready.buf, s.ready.head = s.ready.buf[:0], 0
+	clear(inflight)
+	clear(s.active)
+	s.active, s.done = s.active[:0], s.done[:0]
+	s.futureGrowth = 0
+	if e.prefix != nil {
+		e.prefix.CrashReset(keepHost)
+	}
+	s.evSeq, s.evFrom, s.evEnd, s.evEnergy = nil, e.clock, e.clock, 0
+	return lost
+}
+
+// Finish closes the input, runs the remaining work to completion, and
+// returns the run's metrics.
+func (s *Server) Finish() (ServeMetrics, error) {
+	s.open = false
+	for s.Step() {
+	}
+	if s.err != nil {
+		return s.out, s.err
+	}
+	out := s.out
+	out.WallTime = s.evEnd - s.start
+	out.PeakKVBlocks = s.e.cache.PeakUsed()
 	if len(out.Latencies) > 0 {
 		out.MeanLatency = stats.Mean(out.Latencies)
 		out.P50Latency, out.P95Latency, out.P99Latency = stats.Percentiles3(out.Latencies)
 	}
 	return out, nil
+}
+
+// Step runs one event at the current decision point — after recording
+// the completions the previous event reached — and reports false when
+// there is nothing to run. An error sticks: AdvanceTo and Finish return
+// it.
+func (s *Server) Step() bool {
+	s.commit()
+	if s.err != nil {
+		return false
+	}
+	if s.ready.len() > 0 && len(s.active) < s.maxBatch && s.admit() {
+		return true
+	}
+	if s.err != nil || len(s.active) == 0 {
+		return false
+	}
+	s.decode()
+	return s.err == nil
+}
+
+// commit records every sequence the latest event completed.
+func (s *Server) commit() {
+	for i, a := range s.done {
+		if s.err == nil {
+			s.err = s.finish(a)
+		}
+		s.done[i] = nil
+	}
+	s.done = s.done[:0]
+}
+
+// finish records one completed sequence and recycles its slot.
+func (s *Server) finish(a *activeSeq) error {
+	e := s.e
+	tr := &a.tr
+	if e.prefix != nil && len(tr.PromptSyms) >= tr.PromptTokens {
+		// Retain the finished history (prompt + known output identities)
+		// for the session's next turn instead of dropping the blocks.
+		outSyms := tr.OutputSyms
+		if len(outSyms) > tr.OutputTokens {
+			outSyms = outSyms[:tr.OutputTokens]
+		}
+		if err := e.prefix.Release(a.handle, tr.PromptSyms[:tr.PromptTokens], outSyms); err != nil {
+			return err
+		}
+	} else if err := e.cache.FreeH(a.handle); err != nil {
+		return err
+	}
+	lat := e.clock - tr.Arrival
+	s.out.Latencies = append(s.out.Latencies, lat)
+	s.out.Served++
+	if tr.Deadline > 0 {
+		s.out.DeadlinesTotal++
+		if e.clock <= tr.Deadline {
+			s.out.DeadlinesMet++
+		}
+	}
+	if !s.lean {
+		a.metrics.QueueTime = lat - a.metrics.TotalTime()
+		s.out.Requests = append(s.out.Requests, a.metrics)
+	}
+	if tra := s.tra; tra != nil {
+		tra.Record(telemetry.Span{ID: tr.ID, Kind: telemetry.KindRequest,
+			Lane: a.slot, Start: a.admitAt, End: e.clock, Session: tr.SessionID,
+			Wait:   a.admitAt - a.since,
+			Tokens: tr.PromptTokens + tr.OutputTokens,
+			Cached: a.metrics.CachedPromptTokens})
+		if a.metrics.DecodeTime > 0 {
+			s.rateHist.Observe(float64(tr.OutputTokens) / a.metrics.DecodeTime)
+		}
+	}
+	s.out.TotalTokens += tr.PromptTokens + tr.OutputTokens
+	a.tr = TimedRequest{}
+	s.freeSlots = append(s.freeSlots, a.slot)
+	return nil
+}
+
+// admit tries to admit the ready queue's front and runs its prefill,
+// reporting false when KV pressure defers it behind the active batch.
+func (s *Server) admit() bool {
+	e := s.e
+	q := s.ready.front()
+	tr := q.TimedRequest
+	if tr.PromptTokens <= 0 {
+		s.err = fmt.Errorf("engine: request %q has no prompt", tr.ID)
+		return false
+	}
+	worstCase := e.blocksFor(tr.PromptTokens + tr.OutputTokens)
+	// With a prefix cache, retained blocks are reclaimable capacity. Probe
+	// first — touching the matched chain makes it MRU, so eviction spares
+	// it — then evict cold prefixes until the unmatched demand fits. Under
+	// extreme pressure eviction can still trim the probed chain itself
+	// (growing the demand), so re-probe and repeat until the demand fits
+	// or nothing is left to evict; the final probe is exactly what Acquire
+	// finds.
+	var syms []uint64
+	probedBlocks := 0
+	if e.prefix != nil {
+		if len(tr.PromptSyms) >= tr.PromptTokens {
+			syms = tr.PromptSyms[:tr.PromptTokens]
+			probedBlocks = e.prefix.Probe(syms)
+		}
+		for worstCase-probedBlocks+s.futureGrowth > e.cache.FreeBlocks() {
+			// Progress is measured in reclaimed capacity, not eviction
+			// counts: EnsureFree stops on a zero-reclaim round (shared
+			// leaves), and with a host tier demotions free blocks without
+			// bumping Evictions at all.
+			before := e.cache.FreeBlocks()
+			e.prefix.EnsureFree(worstCase - probedBlocks + s.futureGrowth)
+			if e.cache.FreeBlocks() == before {
+				break
+			}
+			if syms != nil {
+				probedBlocks = e.prefix.Probe(syms)
+			}
+		}
+	}
+	if worstCase-probedBlocks+s.futureGrowth > e.cache.FreeBlocks() {
+		if len(s.active) == 0 {
+			s.err = fmt.Errorf("engine: request %q exceeds KV capacity even alone", tr.ID)
+		}
+		return false
+	}
+	s.ready.popFront()
+	matched := 0
+	restore := 0.0
+	if syms != nil {
+		restoreBefore := e.prefix.Metrics().RestoreSeconds
+		m, err := e.prefix.Acquire(tr.ID, syms)
+		if err != nil {
+			s.err = err
+			return false
+		}
+		matched = m
+		s.out.PrefixLookups++
+		s.out.PrefixLookupTokens += tr.PromptTokens
+		if matched > 0 {
+			s.out.PrefixHits++
+			s.out.SavedPrefillTokens += matched
+		}
+		// A matched chain segment that had been demoted to host DRAM was
+		// just promoted back; its transfer time lands on this request's
+		// clock, ahead of prefill (part of TTFT).
+		if restore = e.prefix.Metrics().RestoreSeconds - restoreBefore; restore > 0 {
+			s.out.HostHits++
+			s.out.RestoreSeconds += restore
+		}
+	} else if err := e.cache.AllocateReserve(tr.ID, tr.PromptTokens,
+		tr.PromptTokens+tr.OutputTokens); err != nil {
+		s.err = err
+		return false
+	}
+	slot := s.freeSlots[len(s.freeSlots)-1]
+	s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
+	a := &s.arena[slot]
+	*a = activeSeq{tr: tr, ctx: tr.PromptTokens, remaining: tr.OutputTokens,
+		residency: e.meter.Residency(tr.OutputTokens), slot: slot,
+		since: q.at, admitAt: e.clock}
+	h, err := e.cache.Lookup(tr.ID)
+	if err == nil {
+		a.handle = h
+		err = e.cache.ReserveH(h, tr.PromptTokens+tr.OutputTokens)
+	}
+	if err == nil && syms != nil {
+		// Acquire seeded only the matched blocks; append the suffix the
+		// prefill below computes (the whole prompt on a cold start).
+		err = e.cache.AppendTokensH(h, tr.PromptTokens-matched)
+	}
+	if err != nil {
+		s.err = err
+		return false
+	}
+	s.futureGrowth += worstCase - e.blocksFor(tr.PromptTokens)
+	a.metrics = Metrics{ID: tr.ID, PromptTokens: tr.PromptTokens,
+		OutputTokens: tr.OutputTokens, CachedPromptTokens: matched,
+		RestoreTime: restore}
+	tra := s.tra
+	if s.fx != nil {
+		// A stalled device starts the restore+prefill at the window's
+		// end; the wait lands in this request's TTFT.
+		if st := s.fx.StallEnd(e.clock); st > e.clock {
+			if tra != nil {
+				tra.Record(telemetry.Span{ID: tr.ID, Kind: telemetry.KindStall,
+					Lane: slot, Start: e.clock, End: st})
+			}
+			e.clock = st
+		}
+	}
+	s.evFrom = e.clock
+	if tra != nil && restore > 0 {
+		tra.Record(telemetry.Span{ID: tr.ID, Kind: telemetry.KindRestore,
+			Lane: slot, Start: e.clock, End: e.clock + restore})
+	}
+	e.clock += restore
+	res, err := e.prefill(tr.PromptTokens - matched)
+	if err != nil {
+		s.err = err
+		return false
+	}
+	if tra != nil {
+		tra.Record(telemetry.Span{ID: tr.ID, Kind: telemetry.KindPrefill,
+			Lane: slot, Start: e.clock, End: e.clock + res.Time,
+			Tokens: tr.PromptTokens - matched, Cached: matched})
+		s.ttftHist.Observe(e.clock + res.Time - tr.Arrival)
+	}
+	e.clock += res.Time
+	s.out.Events++
+	a.metrics.PrefillTime = res.Time
+	a.metrics.PrefillEnergy = e.meter.Energy(res)
+	s.out.TotalEnergy += a.metrics.PrefillEnergy
+	s.evEnd, s.evEnergy, s.evSeq = e.clock, a.metrics.PrefillEnergy, a
+	s.active = append(s.active, a)
+	if tra != nil {
+		s.kvGauge.Sample(e.clock, float64(e.cache.UsedBlocks()))
+		s.actGauge.Sample(e.clock, float64(len(s.active)))
+	}
+	return true
+}
+
+// decode advances the active set to its next event: a completion, or the
+// admission grain while anything is pending.
+func (s *Server) decode() {
+	e := s.e
+	chunk := s.active[0].remaining
+	for _, a := range s.active {
+		if a.remaining < chunk {
+			chunk = a.remaining
+		}
+	}
+	if chunk <= 0 {
+		s.reap()
+		return
+	}
+	if (s.open || s.ready.len() > 0) && chunk > admitGrain {
+		chunk = admitGrain
+	}
+	s.ctxs = s.ctxs[:0]
+	residency := 0.0
+	for _, a := range s.active {
+		s.ctxs = append(s.ctxs, a.ctx)
+		residency += a.residency
+	}
+	tra := s.tra
+	if s.fx != nil {
+		// No decode progress inside a stall window.
+		if st := s.fx.StallEnd(e.clock); st > e.clock {
+			if tra != nil {
+				for _, a := range s.active {
+					tra.Record(telemetry.Span{ID: a.tr.ID, Kind: telemetry.KindStall,
+						Lane: a.slot, Start: e.clock, End: st})
+				}
+			}
+			e.clock = st
+		}
+	}
+	res := e.decodeChunk(s.ctxs, chunk)
+	// The chunk runs at the active sequences' mean residency factor, each
+	// keyed on its own run length, so splitting a run into more chunks
+	// changes neither its time nor its energy.
+	energy := e.meter.PowerAt(res, residency/float64(len(s.active))) * res.Time
+	throttleF := 1.0
+	if s.fx != nil {
+		// Thermal throttle: the chunk's tokens take Factor times as long
+		// (energy is computed from the unstretched result — the same work,
+		// spread over more seconds at lower power).
+		if f := s.fx.ThrottleAt(e.clock); f > 1 {
+			res.Time *= f
+			throttleF = f
+		}
+	}
+	decodeFrom := e.clock
+	e.clock += res.Time
+	s.out.Events++
+	s.out.TotalEnergy += energy
+	s.evFrom, s.evEnd, s.evEnergy, s.evSeq = decodeFrom, e.clock, energy, nil
+	perSeqEnergy := energy / float64(len(s.active))
+	for _, a := range s.active {
+		if err := e.cache.AppendTokensH(a.handle, chunk); err != nil {
+			s.err = err
+			return
+		}
+		s.futureGrowth -= e.blocksFor(a.ctx+chunk) - e.blocksFor(a.ctx)
+		a.ctx += chunk
+		a.remaining -= chunk
+		a.metrics.DecodeTime += res.Time
+		a.metrics.DecodeEnergy += perSeqEnergy
+	}
+	if tra != nil {
+		cause := ""
+		if throttleF > 1 {
+			cause = "throttle"
+		}
+		for _, a := range s.active {
+			tra.Record(telemetry.Span{ID: a.tr.ID, Kind: telemetry.KindDecode,
+				Lane: a.slot, Start: decodeFrom, End: e.clock,
+				Tokens: chunk, Cause: cause, Factor: throttleF})
+		}
+		s.kvGauge.Sample(e.clock, float64(e.cache.UsedBlocks()))
+		s.actGauge.Sample(e.clock, float64(len(s.active)))
+		if res.Time > 0 {
+			s.powGauge.Sample(e.clock, energy/res.Time)
+		}
+	}
+	s.reap()
 }
 
 // CalibrationRates returns the engine's per-token prefill and decode

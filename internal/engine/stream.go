@@ -21,11 +21,6 @@ func NewSliceSource(reqs []TimedRequest) *SliceSource {
 	return &SliceSource{reqs: reqs}
 }
 
-// Reset repoints the source at a new slice and rewinds it, so a caller
-// draining many slices (the fleet's per-replica sub-streams) can reuse
-// one SliceSource instead of allocating per drain.
-func (s *SliceSource) Reset(reqs []TimedRequest) { s.reqs, s.i = reqs, 0 }
-
 // Next yields the next request in slice order.
 func (s *SliceSource) Next() (TimedRequest, bool) {
 	if s.i >= len(s.reqs) {
@@ -37,7 +32,7 @@ func (s *SliceSource) Next() (TimedRequest, bool) {
 }
 
 // Collect drains a source into a slice — the bridge from the streaming
-// API back to the slice API, used by the legacy generators and by tests
+// API back to the slice API, used by the slice generators and by tests
 // pinning stream-vs-slice equivalence.
 func Collect(src Source) []TimedRequest {
 	var out []TimedRequest

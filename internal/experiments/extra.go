@@ -125,7 +125,7 @@ func naturalPlan(opts Options) ([]Table, error) {
 				if err != nil {
 					return err
 				}
-				prompt := meanPrompt(sub)
+				prompt := sub.MeanPromptTokens()
 				m, err := eng.Generate(engine.Request{ID: "np", PromptTokens: prompt, OutputTokens: int(toks + 0.5)})
 				if err != nil {
 					return err
@@ -146,15 +146,4 @@ func naturalPlan(opts Options) ([]Table, error) {
 		return nil, err
 	}
 	return []Table{baseline, budget, direct}, nil
-}
-
-func meanPrompt(b *data.Bank) int {
-	if b.Size() == 0 {
-		return 1
-	}
-	sum := 0
-	for _, q := range b.Questions {
-		sum += q.PromptTokens
-	}
-	return sum / b.Size()
 }

@@ -208,7 +208,10 @@ func overloadedStream(t *testing.T) []engine.TimedRequest {
 func TestShedBeatsBlockingFIFOUnderOverload(t *testing.T) {
 	reqs := overloadedStream(t)
 	run := func(a Admission) Metrics {
+		// Shedding acts at the ingress, so the backlog must queue there:
+		// Capacity = MaxBatch keeps no replica-local queue behind it.
 		cfg := homogeneousFleet(1, RoundRobin)
+		cfg.Replicas[0].Capacity = 4
 		cfg.Admission = a
 		m, err := Serve(cfg, reqs)
 		if err != nil {

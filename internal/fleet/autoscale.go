@@ -267,7 +267,7 @@ func (as *autoscaler) provision(ro *router, t float64, reason string) error {
 		Device:      dev,
 		WarmupDelay: t + as.cfg.ColdStart,
 	}.withDefaults(len(ro.replicas))
-	r, err := newReplica(rc, ro.tmpl, ro.trace)
+	r, err := newReplica(rc, ro.tmpl, ro.local, ro.trace)
 	if err != nil {
 		return fmt.Errorf("fleet: autoscale provision %s: %w", name, err)
 	}
@@ -283,7 +283,7 @@ func (as *autoscaler) provision(ro *router, t float64, reason string) error {
 	return nil
 }
 
-// retireIdle drains replicas whose backlog has been empty for the idle
+// retireIdle drains replicas whose engine has held nothing for the idle
 // window, in ascending index order for determinism. The retirement
 // instant is when the idle timer actually expired, not when this
 // dispatch event noticed it — clamped between the previous scale event
@@ -291,12 +291,12 @@ func (as *autoscaler) provision(ro *router, t float64, reason string) error {
 // accounting honest.
 func (as *autoscaler) retireIdle(ro *router, t float64) {
 	for i, r := range ro.replicas {
-		if !r.liveAt(t) || r.depth(t) > 0 {
+		if !r.liveAt(t) || r.srv.OutstandingAt(t) > 0 {
 			continue
 		}
-		// The idle timer starts when the backlog was estimated to drain,
-		// and never before the replica came up.
-		idleAt := math.Max(r.estFreeAt, r.cfg.WarmupDelay)
+		// The idle timer starts when the engine went idle (its last event
+		// ended, or a crash emptied it), and never before warm-up.
+		idleAt := math.Max(r.srv.IdleSince(), r.cfg.WarmupDelay)
 		if t-idleAt < as.cfg.IdleRetire {
 			continue
 		}

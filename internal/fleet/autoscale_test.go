@@ -12,11 +12,16 @@ import (
 // burstyReqs is the elastic-pool stress shape: a trickle of background
 // traffic with a sharp deadline-bearing spike in the middle.
 func burstyReqs(t *testing.T, seed uint64) []engine.TimedRequest {
+	return burstyReqsAt(t, seed, 6)
+}
+
+// burstyReqsAt is burstyReqs with a spikeQPS spike.
+func burstyReqsAt(t *testing.T, seed uint64, spikeQPS float64) []engine.TimedRequest {
 	t.Helper()
 	background := workload.InteractiveAssistant(0.2, 8)
 	background.DeadlineSlack = 4
 	background.DeadlineSlackMax = 12
-	spike := workload.InteractiveAssistant(6, 36)
+	spike := workload.InteractiveAssistant(spikeQPS, 36)
 	spike.DeadlineSlack = 4
 	spike.DeadlineSlackMax = 12
 	reqs, err := workload.Bursty(background, spike, 30, seed)
@@ -79,7 +84,10 @@ func TestScaleSignalParse(t *testing.T) {
 }
 
 func TestAutoscaleGrowsOnBurstAndRetiresOnIdle(t *testing.T) {
-	reqs := burstyReqs(t, 7)
+	// A 6 QPS spike of short turns fits one batched replica's queue; the
+	// 12 QPS spike overflows it into the ingress, where the autoscaler
+	// watches.
+	reqs := burstyReqsAt(t, 7, 12)
 	m, err := Serve(autoscaleConfig(1), reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +263,7 @@ func TestAutoscaleScaleOnMissIgnoresDepth(t *testing.T) {
 // sticky map drops every entry referencing the retired one.
 func TestStickySessionsPurgedOnRetirement(t *testing.T) {
 	mk := func() *replica {
-		r, err := newReplica(ReplicaConfig{Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB()}.withDefaults(0), engine.Config{}, nil)
+		r, err := newReplica(ReplicaConfig{Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB()}.withDefaults(0), engine.Config{}, engine.FCFS, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +331,7 @@ func TestStickySessionsPurgedOnRetirement(t *testing.T) {
 // against a full pool must refuse rather than exceed the budget.
 func TestProvisionRefusesAtMax(t *testing.T) {
 	mk := func() *replica {
-		r, err := newReplica(ReplicaConfig{Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB()}.withDefaults(0), engine.Config{}, nil)
+		r, err := newReplica(ReplicaConfig{Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB()}.withDefaults(0), engine.Config{}, engine.FCFS, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +370,7 @@ func TestOutageRevivalBoundedByMax(t *testing.T) {
 	cfg := autoscaleConfig(1)
 	cfg.Autoscale.Max = 2
 	cfg.Autoscale.ScaleOn = ScaleOnMiss // keep the ordinary triggers silent
-	cfg.Replicas[0].CrashAt = 5         // the whole initial pool dies, lossily
+	cfg.Faults = crashSchedule(0, 5, 0) // the whole initial pool dies, lossily
 	reqs := burst(10, 2, 0)             // arrivals 0..18s straddle the outage
 	m, err := Serve(cfg, reqs)
 	if err != nil {

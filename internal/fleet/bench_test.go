@@ -10,7 +10,7 @@ import (
 // BenchmarkAutoscaleServe measures the elastic serving path end to end:
 // ingress dispatch with shedding, burst-driven provisioning (engine
 // construction and probe calibration included, as a real scale-up would
-// pay), idle retirement, and the concurrent replica drain. Frozen into
+// pay), idle retirement, and the co-simulated replica engines. Frozen into
 // BENCH_serve.json and gated on allocs/op by scripts/bench.sh.
 func BenchmarkAutoscaleServe(b *testing.B) {
 	background := workload.InteractiveAssistant(0.3, 20)
@@ -61,7 +61,7 @@ func BenchmarkAutoscaleServe(b *testing.B) {
 // end: a fixed generated fault schedule (crashes, stalls, throttles)
 // over a deadline-bearing stream with retry re-admission, circuit
 // breakers, and health-aware routing all active — the full recovery
-// machinery on top of dispatch and the concurrent drain. Frozen into
+// machinery on top of dispatch and the co-simulated engines. Frozen into
 // BENCH_serve.json and gated on allocs/op by scripts/bench.sh.
 func BenchmarkChaosServe(b *testing.B) {
 	profile := workload.InteractiveAssistant(6, 150)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"edgereasoning/internal/engine"
+	"edgereasoning/internal/hw"
 )
 
 // TestWarmupFailBoundary pins the ReplicaConfig contract the autoscaler's
@@ -132,8 +133,16 @@ func TestTotalOutageMidStreamConservation(t *testing.T) {
 // retirement, a failed replica to its FailAt, a survivor to the wall,
 // and a dead-at-birth provision never bills negative time.
 func TestRetireAtDrainBoundaryBilledOnce(t *testing.T) {
-	mk := func(provisionedAt, estFreeAt float64, cfg ReplicaConfig) *replica {
-		return &replica{cfg: cfg, provisionedAt: provisionedAt, estFreeAt: estFreeAt}
+	// Every engine is idle from t=0, so a replica's idle timer starts at
+	// its warm-up end: idleFrom.
+	mk := func(provisionedAt, idleFrom float64, cfg ReplicaConfig) *replica {
+		cfg.Spec, cfg.Device, cfg.WarmupDelay = smallSpec(), hw.JetsonAGXOrin64GB(), idleFrom
+		r, err := newReplica(cfg.withDefaults(0), engine.Config{}, engine.FCFS, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.provisionedAt = provisionedAt
+		return r
 	}
 	boundary := mk(0, 90, ReplicaConfig{Name: "boundary"}) // idle timer expires at exactly wall=100
 	survivor := mk(50, 95, ReplicaConfig{Name: "survivor"})
@@ -191,11 +200,11 @@ func TestOutageDropPreservesFIFOSemantics(t *testing.T) {
 	}
 }
 
-// TestWarmupCrashBoundary mirrors TestWarmupFailBoundary for CrashAt,
-// the lossy counterpart of FailAt: routability needs t >= WarmupDelay
-// and t < CrashAt, so CrashAt <= WarmupDelay is dead at birth — the
-// replica crashes before (or the instant) it would come up, and with no
-// restart it never opens a window.
+// TestWarmupCrashBoundary mirrors TestWarmupFailBoundary for a permanent
+// crash (Restart 0), the lossy counterpart of FailAt: routability needs
+// t >= WarmupDelay and t before the crash, so a crash at or before
+// WarmupDelay is dead at birth — the replica crashes before (or the
+// instant) it would come up, and with no restart it never opens a window.
 func TestWarmupCrashBoundary(t *testing.T) {
 	const eps = 1e-9
 	cases := []struct {
@@ -214,8 +223,8 @@ func TestWarmupCrashBoundary(t *testing.T) {
 		{"window closed again past crash", 10, 10 + eps, 10 + eps, false},
 	}
 	for _, tc := range cases {
-		r := &replica{cfg: ReplicaConfig{WarmupDelay: tc.warmup, CrashAt: tc.crash}}
-		if _, err := compileFaults(Config{}, []*replica{r}); err != nil {
+		r := &replica{cfg: ReplicaConfig{WarmupDelay: tc.warmup}}
+		if _, err := compileFaults(Config{Faults: crashSchedule(0, tc.crash, 0)}, []*replica{r}); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got := r.routableAt(tc.at); got != tc.routable {
@@ -229,8 +238,8 @@ func TestWarmupCrashBoundary(t *testing.T) {
 
 // TestCrashAtVsFailAtSemantics pins the behavioral difference between
 // the two single-replica failure knobs on identical traffic: FailAt
-// drains cleanly (in-flight work finishes, nothing is aborted), CrashAt
-// is lossy (the in-flight suffix is aborted and, without a retry
+// drains cleanly (in-flight work finishes, nothing is aborted), a
+// permanent crash is lossy (the in-flight suffix is aborted and, without a retry
 // policy, dropped). Both conserve every request.
 func TestCrashAtVsFailAtSemantics(t *testing.T) {
 	reqs := burst(20, 0, 0) // deep t=0 backlog on both replicas
@@ -251,9 +260,9 @@ func TestCrashAtVsFailAtSemantics(t *testing.T) {
 		t.Errorf("FailAt must drain, not crash: %d crashes, %d aborted, %.3f lost seconds",
 			drained.Crashes, drained.Aborted, drained.LostWorkSeconds)
 	}
-	crashed := run(func(c *Config) { c.Replicas[0].CrashAt = 1 })
+	crashed := run(func(c *Config) { c.Faults = crashSchedule(0, 1, 0) })
 	if crashed.Crashes != 1 || crashed.Aborted == 0 {
-		t.Fatalf("CrashAt must abort in-flight work: %d crashes, %d aborted", crashed.Crashes, crashed.Aborted)
+		t.Fatalf("a permanent crash must abort in-flight work: %d crashes, %d aborted", crashed.Crashes, crashed.Aborted)
 	}
 	if crashed.AbortedDropped != crashed.Aborted {
 		t.Errorf("without a retry policy every abort drops: %d aborted, %d dropped",

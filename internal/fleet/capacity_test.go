@@ -9,41 +9,32 @@ import (
 	"edgereasoning/internal/workload"
 )
 
-// TestDispatchLogProperties is the dispatch-log property gate (run under
+// TestEngineCapacityProperties is the capacity property gate (run under
 // -race in CI): over 8 seeds of generated fault schedules, with
-// autoscaling on the even seeds, it inspects every replica's log right
-// after each dispatch at clock t. Each log's estimated finishes must be
-// non-decreasing in dispatch order — the invariant that makes the
-// outstanding entries a suffix and a crash's abort set a suffix — and on
-// every replica routable at t, the ones the dispatch consulted, the
-// outstanding count must equal the number of entries estimated to finish
-// after t.
-func TestDispatchLogProperties(t *testing.T) {
+// autoscaling on the even seeds, it inspects the fleet right after each
+// dispatch at clock t. Every replica's outstanding count, as its engine
+// reports it at t, must be at most its Capacity, and the request must
+// have gone to a replica that is routable at t — not down, retired,
+// failed, cold or breaker-blocked.
+func TestEngineCapacityProperties(t *testing.T) {
 	spec := model.MustLookup(model.Qwen25_1_5Bit)
 	devices := DefaultDevices()
-	var dispatches, routable int
+	var dispatches, full int
 	var failed bool
-	afterTake = func(ro *router, now float64) {
+	afterTake = func(ro *router, r *replica, now float64) {
 		dispatches++
-		for _, r := range ro.replicas {
-			later := 0
-			for i, e := range r.est {
-				if i > 0 && e.finish < r.est[i-1].finish {
-					t.Errorf("t=%.6f %s: estimate %d finishes at %.6f, before entry %d at %.6f",
-						now, r.cfg.Name, i, e.finish, i-1, r.est[i-1].finish)
-					failed = true
-				}
-				if e.finish > now {
-					later++
-				}
+		if !r.routableAt(now) {
+			t.Errorf("t=%.6f: dispatched to %s, which is not routable", now, r.cfg.Name)
+			failed = true
+		}
+		for _, x := range ro.replicas {
+			n := x.srv.OutstandingAt(now)
+			if n > x.cfg.Capacity {
+				t.Errorf("t=%.6f %s: %d outstanding, capacity %d", now, x.cfg.Name, n, x.cfg.Capacity)
+				failed = true
 			}
-			if r.routableAt(now) {
-				routable++
-				if r.outstanding() != later {
-					t.Errorf("t=%.6f %s: routable with %d outstanding, want %d entries finishing later",
-						now, r.cfg.Name, r.outstanding(), later)
-					failed = true
-				}
+			if n == x.cfg.Capacity {
+				full++
 			}
 		}
 	}
@@ -74,6 +65,9 @@ func TestDispatchLogProperties(t *testing.T) {
 			Retry:    &RetryPolicy{},
 			Health:   &HealthConfig{},
 		}
+		for i := range cfg.Replicas {
+			cfg.Replicas[i].Capacity = 6
+		}
 		if seed%2 == 0 {
 			cfg.Autoscale = &AutoscaleConfig{
 				Min: 1, Max: replicas + 2, Spec: spec, Devices: devices,
@@ -88,7 +82,7 @@ func TestDispatchLogProperties(t *testing.T) {
 			t.Fatalf("seed %d: degenerate schedule, no crashes", seed)
 		}
 	}
-	if dispatches == 0 || routable == 0 {
-		t.Fatalf("hook saw %d dispatches, %d routable checks", dispatches, routable)
+	if dispatches == 0 || full == 0 {
+		t.Fatalf("hook saw %d dispatches, %d replicas at capacity — the bound was never exercised", dispatches, full)
 	}
 }

@@ -2,25 +2,23 @@
 // pool of heterogeneous replica engines — mixed device profiles (AGX
 // Orin power modes, server parts) and mixed weight formats (FP16 and
 // W4A16). A deterministic router assigns each arriving request to a
-// replica under a pluggable Policy; each replica then executes its
-// sub-stream on the full vLLM-style engine (engine.ServeSource), and the
-// per-replica results are folded into fleet-wide Metrics.
+// replica under a pluggable Policy, and the per-replica results are
+// folded into fleet-wide Metrics.
 //
-// The router works on calibrated estimates (a batch-1 probe of each
-// replica's prefill and decode rates) while the replicas execute on the
-// exact simulator, mirroring a real load balancer that routes on cheap
-// health signals rather than ground truth. Each replica keeps one
-// dispatch log — the requests it took, in dispatch order, each with its
-// estimated finish and shared-queue wait — and every router decision
-// reads that log: outstanding work for capacity, the earliest estimated
-// finish for capacity waits, the abort suffix at a crash, the idle timer
-// for the autoscaler. Admission is a shared ingress queue with
-// per-replica capacity and a pluggable discipline (Config.Admission):
-// the default FIFO blocks the stream head when every routable replica is
-// at capacity, while EDF and SJF reorder the waiting set and Shed drops
-// hopeless deadline work instead of serving it late. An optional
-// autoscaler (Config.Autoscale) grows and shrinks the replica pool on
-// ingress pressure, paying modeled cold starts.
+// Routing and serving are one co-simulation: every replica runs its own
+// engine.Server, and the router advances each engine to every decision
+// instant before it decides. Capacity, capacity waits, least-queue
+// depth, the autoscaler's idle timer, the breaker's probe verdict and a
+// crash's abort set all read the engines' real state; only the routing
+// heuristics (DeadlineAware, LatencyWeighted, Shed) price work with a
+// calibrated batch-1 service estimate, as a real load balancer would.
+// Admission is a shared ingress queue with per-replica capacity and a
+// pluggable discipline (Config.Admission): the default FIFO blocks the
+// stream head when every routable replica is at capacity, while EDF and
+// SJF reorder the waiting set and Shed drops hopeless deadline work
+// instead of serving it late. An optional autoscaler (Config.Autoscale)
+// grows and shrinks the replica pool on ingress pressure, paying modeled
+// cold starts.
 package fleet
 
 import (
@@ -28,7 +26,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"edgereasoning/internal/engine"
 	"edgereasoning/internal/faults"
@@ -46,8 +43,9 @@ type ReplicaConfig struct {
 	Device *hw.Device
 	// MaxBatch bounds concurrent decoders on the replica (default 4).
 	MaxBatch int
-	// Capacity bounds outstanding (queued + executing) requests the
-	// router may park on the replica (default 16).
+	// Capacity bounds the requests the router may park on the replica:
+	// it dispatches only while the engine's outstanding count (ready
+	// queue plus active batch) is below it (default 16).
 	Capacity int
 	// WarmupDelay keeps the replica unroutable before this simulated
 	// time — a cold start loading weights. Zero means warm at t=0.
@@ -63,14 +61,6 @@ type ReplicaConfig struct {
 	// which it can take a request, even when the two are exactly equal.
 	// Only FailAt > WarmupDelay opens a routable window.
 	FailAt float64
-	// CrashAt, when positive, is FailAt's lossy counterpart: the replica
-	// crashes at this simulated time, destroying its in-flight requests
-	// and device KV cache (FailAt drains — routed work still completes;
-	// CrashAt loses it). The crash is permanent; use Config.Faults for
-	// crashes that restart. The dead-at-birth boundary mirrors FailAt:
-	// CrashAt <= WarmupDelay leaves no instant at which the replica can
-	// take a request.
-	CrashAt float64
 }
 
 func (rc ReplicaConfig) withDefaults(i int) ReplicaConfig {
@@ -146,7 +136,8 @@ type ReplicaMetrics struct {
 	Name   string
 	Device string
 	Model  string
-	// Assigned counts requests routed to the replica.
+	// Assigned counts requests routed to the replica and not destroyed
+	// there by a crash — every one completes, so it equals Served.
 	Assigned int
 	engine.ServeMetrics
 	// BusyTime sums per-request service time (prefill + decode); batched
@@ -220,15 +211,15 @@ type Metrics struct {
 	TierPromotions int
 	HostHits       int
 	RestoreSeconds float64
-	// Fault-injection and recovery accounting (zero without Config.Faults
-	// or ReplicaConfig.CrashAt). Crashes counts crash events striking the
+	// Fault-injection and recovery accounting (zero without
+	// Config.Faults). Crashes counts crash events striking the
 	// pool; Aborted the in-flight dispatches they destroyed (a request
 	// aborted twice counts twice); Retried the aborts scheduled for
 	// re-admission; AbortedDropped — a subset of Dropped, like Shed — the
 	// aborts abandoned for good (retry disabled, attempts exhausted, no
 	// deadline budget left, or a permanent outage drained the retry
-	// queue); LostWorkSeconds the estimated service time destroyed
-	// mid-flight; BreakerOpens the circuit-breaker opens under
+	// queue); LostWorkSeconds the device time the destroyed attempts had
+	// received; BreakerOpens the circuit-breaker opens under
 	// health-aware routing. Conservation still holds as
 	// Served + Dropped == Offered: retries are not re-offered, and every
 	// abort either completes a later attempt or lands in Dropped once.
@@ -263,56 +254,36 @@ func (m Metrics) PrefixHitRate() float64 {
 type replica struct {
 	cfg ReplicaConfig
 	eng *engine.Engine
+	// srv is the replica's serve run: the router pushes dispatches into it
+	// and advances it to every decision instant.
+	srv *engine.Server
 	// Calibrated batch-1 rates from the warm-up probe.
 	prefillPerTok float64
 	decodePerTok  float64
-	// The dispatch log. assigned is the replica's sub-stream in dispatch
-	// order, each Arrival rewritten to its dispatch instant; est is the
-	// router's parallel view of each entry. Estimated finishes are
-	// non-decreasing in dispatch order (each is max(estFreeAt, t) +
-	// service, and estFreeAt only ratchets, or resets to a restart that
-	// postdates every surviving entry), so the entries still outstanding
-	// are always a suffix: est[done:] are those estimated to finish after
-	// the clock of the latest depth query, and a crash aborts a suffix too.
-	// src is the reusable source wrapper the drain feeds assigned through.
-	assigned []engine.TimedRequest
-	est      []estimate
-	done     int
-	src      engine.SliceSource
-	// estFreeAt is the serial-backlog horizon: the estimated finish of the
-	// latest dispatch, or the restart instant after a crash.
-	estFreeAt float64
-	wrrCredit float64
+	wrrCredit     float64
 	// Autoscaler lifecycle: provisionedAt is when the replica joined the
 	// pool; retired marks an autoscaler drain at retiredAt.
 	provisionedAt float64
 	retired       bool
 	retiredAt     float64
-	// Fault machinery: tl is the compiled fault timeline and hs the
-	// circuit-breaker state, nil on fault-free replicas and blind fleets;
-	// pendingWipe arms the next take to mark its request as the
-	// cache-wipe boundary in the timeline's CrashWipes.
-	tl          *timeline
-	hs          *healthState
-	pendingWipe bool
+	// fx holds the replica's stall and throttle windows in the engine's own
+	// form: the engine applies them and the router reads them through the
+	// same lookups. tl is the crash timeline and hs the circuit-breaker
+	// state, nil on crash-free replicas and blind fleets.
+	fx engine.FaultInjection
+	tl *timeline
+	hs *healthState
 	// crashes counts crash events that struck this replica (folded into
 	// ReplicaMetrics.Crashes).
 	crashes int
 }
 
-// estimate is the router's record of one logged dispatch.
-type estimate struct {
-	finish float64 // estimated completion
-	wait   float64 // shared-queue wait before dispatch (dispatch − arrival)
-}
-
 // newReplica builds the serving engine for one replica config from the
-// fleet's engine template and calibrates the router's service-time
-// estimate from the engine's own kernel model. CalibrationRates is pure
-// — the clock and cache are untouched — and returns exactly what the
-// historical one-request probe run on a scratch engine measured, without
-// constructing one. A non-nil trace gives the engine its own track.
-func newReplica(rc ReplicaConfig, tmpl engine.Config, trace *telemetry.Trace) (*replica, error) {
+// fleet's engine template, opens its serve run with the local queue
+// discipline, and calibrates the router's service-time estimate from the
+// engine's own kernel model. CalibrationRates is pure — the clock and
+// cache are untouched. A non-nil trace gives the engine its own track.
+func newReplica(rc ReplicaConfig, tmpl engine.Config, local engine.SchedPolicy, trace *telemetry.Trace) (*replica, error) {
 	engCfg := tmpl
 	engCfg.Spec, engCfg.Device = rc.Spec, rc.Device
 	if trace != nil {
@@ -326,7 +297,9 @@ func newReplica(rc ReplicaConfig, tmpl engine.Config, trace *telemetry.Trace) (*
 	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %s probe: %w", rc.Name, err)
 	}
-	return &replica{cfg: rc, eng: eng, prefillPerTok: prefillPerTok, decodePerTok: decodePerTok}, nil
+	r := &replica{cfg: rc, eng: eng, prefillPerTok: prefillPerTok, decodePerTok: decodePerTok}
+	r.srv = eng.Start(rc.MaxBatch, local, engine.ServeOpts{Faults: &r.fx})
+	return r, nil
 }
 
 // estService estimates the batch-1 service time of a request.
@@ -334,21 +307,22 @@ func (r *replica) estService(tr engine.TimedRequest) float64 {
 	return r.prefillPerTok*float64(tr.PromptTokens) + r.decodePerTok*float64(tr.OutputTokens)
 }
 
-// estFinishFor estimates the completion time of tr started at start —
-// but only under health-aware routing (r.hs != nil) does the estimate
-// integrate the replica's thermal-throttle windows, so the router reads
-// the device's thermal state and steers deadline-critical work toward
-// cool replicas. A blind fleet estimates full speed and eats the
-// stretch at drain time. This is a routing signal only: the recorded
-// dispatch estimates (estFreeAt and the log) stay unstretched, so crash
-// abort sets and capacity accounting are identical across health-aware
-// and blind legs of the same schedule.
+// estFinishFor estimates the completion time of tr started at start.
+// Only under health-aware routing does it integrate the replica's
+// throttle windows, steering deadline-critical work toward cool replicas.
 func (r *replica) estFinishFor(tr engine.TimedRequest, start float64) float64 {
 	svc := r.estService(tr)
-	if r.hs != nil && r.tl != nil && len(r.tl.fx.Throttles) > 0 {
-		return r.tl.finishAfter(start, svc)
+	if r.hs != nil && len(r.fx.Throttles) > 0 {
+		return r.finishAfter(start, svc)
 	}
 	return start + svc
+}
+
+// backlog prices the engine's outstanding work — queued prompts to
+// prefill, output tokens left to decode — at the batch-1 rates.
+func (r *replica) backlog() float64 {
+	p, d := r.srv.Backlog()
+	return r.prefillPerTok*float64(p) + r.decodePerTok*float64(d)
 }
 
 // speed is the router's weight for latency-weighted spreading: estimated
@@ -371,12 +345,13 @@ func (r *replica) routableAt(t float64) bool {
 
 // availAt returns the earliest instant >= t at which the replica could
 // be routable: warm, not failed or crash-dead, not retired, not down
-// awaiting restart, not breaker-blocked — warm-ups, crash downtime and
-// breaker opens all push it out — or never=true when no such instant
-// exists. Under health-aware routing a stall window pushes it out too:
-// the health layer detects the stall and steers around it, while a
-// blind fleet keeps dispatching into it and pays the freeze at drain
-// time. Capacity is not considered.
+// awaiting restart, not inside an open breaker window — warm-ups, crash
+// downtime and breaker opens all push it out — or never=true when no
+// such instant exists. Under health-aware routing a stall window pushes
+// it out too: the health layer detects the stall and steers around it,
+// while a blind fleet keeps dispatching into it and its engine pays the
+// freeze. The engine's state (capacity, an outstanding breaker probe) is
+// not considered.
 func (r *replica) availAt(t float64) (float64, bool) {
 	for {
 		switch {
@@ -410,62 +385,24 @@ func (r *replica) availAt(t float64) (float64, bool) {
 				t = until
 				continue
 			}
-			if r.tl != nil {
-				if end := r.tl.fx.StallEnd(t); end > t {
-					t = end
-					continue
-				}
+			if end := r.fx.StallEnd(t); end > t {
+				t = end
+				continue
 			}
 		}
 		return t, false
 	}
 }
 
-// depth moves the log's done index to the first entry estimated to
-// finish after t and returns the outstanding count at t. The index moves
-// back as well as forward: nextFree looks ahead past the dispatch clock,
-// and a crash inside that look-ahead pulls the clock back, so a query
-// can come earlier than the last one.
-func (r *replica) depth(t float64) int {
-	for r.done > 0 && r.est[r.done-1].finish > t {
-		r.done--
-	}
-	for r.done < len(r.est) && r.est[r.done].finish <= t {
-		r.done++
-	}
-	return r.outstanding()
-}
-
-// outstanding is the count of logged dispatches not yet estimated done
-// as of the latest depth query.
-func (r *replica) outstanding() int { return len(r.est) - r.done }
-
-// take logs the dispatch of tr, which arrived at tr.Arrival, at time t.
-// The engine sees the dispatch time as the arrival; the shared-queue
-// wait rides in the log and is re-added to the latency after the drain.
+// take dispatches tr to the replica at t; the router has advanced the
+// engine to t, which sees the request from then on. A half-open breaker
+// takes it as its probe, whose verdict comes when the engine has
+// completed everything it holds now and the probe.
 func (r *replica) take(tr engine.TimedRequest, t float64) {
-	finish := math.Max(r.estFreeAt, t) + r.estService(tr)
-	r.estFreeAt = finish
-	if r.assigned == nil {
-		// Seed the log at a 64-request floor so short runs skip the early
-		// append-growth doublings.
-		r.assigned = make([]engine.TimedRequest, 0, 64)
-		r.est = make([]estimate, 0, 64)
-	}
-	wait := t - tr.Arrival
-	tr.Arrival = t
-	r.assigned = append(r.assigned, tr)
-	r.est = append(r.est, estimate{finish: finish, wait: wait})
-	if r.pendingWipe {
-		if r.tl.fx.CrashWipes == nil {
-			r.tl.fx.CrashWipes = make(map[string]bool)
-		}
-		r.tl.fx.CrashWipes[tr.ID] = r.tl.keepHost
-		r.pendingWipe = false
-	}
 	if r.hs != nil {
-		r.hs.noteTake(t, finish)
+		r.hs.noteTake(t, r.srv.Served()+r.srv.OutstandingAt(t))
 	}
+	r.srv.Push(tr)
 }
 
 // Serve routes the open-loop stream across the fleet and executes every
@@ -480,9 +417,9 @@ func Serve(cfg Config, reqs []engine.TimedRequest) (Metrics, error) {
 
 // ServeSource routes a pull-based stream (non-decreasing Arrival order,
 // not predating t=0) across the fleet: the ingress consumes the source
-// lazily as the dispatch clock reaches each arrival, so live memory
-// scales with the waiting set plus the routed-but-undrained sub-streams,
-// not the stream length.
+// lazily as the dispatch clock reaches each arrival, and each dispatch
+// goes straight into its replica's engine, so live memory scales with
+// the waiting and in-flight sets, not the stream length.
 func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 	if len(cfg.Replicas) == 0 {
 		return Metrics{}, fmt.Errorf("fleet: no replicas configured")
@@ -493,10 +430,11 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 	ft := newFleetTracer(cfg.Trace)
 	router := &router{
 		replicas: make([]*replica, len(cfg.Replicas)), policy: cfg.Policy,
-		tiered: cfg.HostTierBlocks > 0, tmpl: cfg.engineTemplate(), trace: cfg.Trace,
+		tiered: cfg.HostTierBlocks > 0, tmpl: cfg.engineTemplate(),
+		local: cfg.Admission.localDiscipline(cfg.Policy), trace: cfg.Trace,
 	}
 	for i, rc := range cfg.Replicas {
-		r, err := newReplica(rc.withDefaults(i), router.tmpl, router.trace)
+		r, err := newReplica(rc.withDefaults(i), router.tmpl, router.local, router.trace)
 		if err != nil {
 			return Metrics{}, err
 		}
@@ -521,7 +459,8 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 	if ft != nil {
 		ft.faultWindows(router.replicas)
 	}
-	cx := &chaos{ro: router, health: cfg.Health, events: crashes, out: &out, ft: ft}
+	cx := &chaos{ro: router, events: crashes, out: &out, ft: ft,
+		keepHost: cfg.Faults != nil && cfg.Faults.HostSurvivesCrash}
 	if cfg.Retry != nil {
 		if err := cfg.Retry.validate(); err != nil {
 			return Metrics{}, err
@@ -541,78 +480,20 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 	if err := dispatch(router, as, cx, ft, cfg.Admission, stream, &out); err != nil {
 		return out, err
 	}
-	replicas := router.replicas // the autoscaler may have grown the pool
-	// Fold each surviving dispatch's shared-queue wait back into its
-	// end-to-end latency after the drain. One map serves the whole run —
-	// request IDs are unique across replicas — and it stays nil while the
-	// fleet keeps up.
-	var delays map[string]float64
-	for _, r := range replicas {
-		for i, e := range r.est {
-			if e.wait > 0 {
-				if delays == nil {
-					delays = make(map[string]float64)
-				}
-				delays[r.assigned[i].ID] = e.wait
-			}
-		}
-	}
 
-	discipline := cfg.Admission.localDiscipline(cfg.Policy)
-	busy := make([]float64, 0, len(replicas))
-	// The replicas' sub-streams are independent once routed, so their
-	// drain phases simulate concurrently; results are folded back in
-	// replica order, keeping the output deterministic at any parallelism.
-	type drained struct {
-		sm  engine.ServeMetrics
-		err error
-	}
-	results := make([]drained, len(replicas))
-	var wg sync.WaitGroup
-	for i, r := range replicas {
-		wg.Add(1)
-		go func(i int, r *replica) {
-			defer wg.Done()
-			// The sub-stream is already in dispatch order (the dispatch
-			// clock is monotone), so it feeds the engine directly — no
-			// copy, no re-sort.
-			r.src.Reset(r.assigned)
-			sm, err := r.eng.ServeSource(&r.src,
-				r.cfg.MaxBatch, discipline,
-				engine.ServeOpts{SizeHint: len(r.assigned), Faults: r.injection()})
-			results[i] = drained{sm: sm, err: err}
-		}(i, r)
-	}
-	wg.Wait()
-	total := 0
-	for i := range results {
-		total += results[i].sm.Served
-	}
-	latencies := make([]float64, 0, total)
-	for i, r := range replicas {
-		sm, err := results[i].sm, results[i].err
+	// Every dispatch is in; each engine runs its remaining work out.
+	var latencies []float64
+	busy := make([]float64, 0, len(router.replicas))
+	for _, r := range router.replicas {
+		sm, err := r.srv.Finish()
 		if err != nil {
 			return out, fmt.Errorf("fleet: replica %s: %w", r.cfg.Name, err)
-		}
-		// Fold the global-queue wait back into end-to-end latency.
-		// Requests and Latencies are parallel slices in completion order.
-		if len(delays) > 0 {
-			for j := range sm.Requests {
-				if d := delays[sm.Requests[j].ID]; d > 0 {
-					sm.Requests[j].QueueTime += d
-					sm.Latencies[j] += d
-				}
-			}
-			if len(sm.Latencies) > 0 {
-				sm.MeanLatency = stats.Mean(sm.Latencies)
-				sm.P50Latency, sm.P95Latency, sm.P99Latency = stats.Percentiles3(sm.Latencies)
-			}
 		}
 		rm := ReplicaMetrics{
 			Name:          r.cfg.Name,
 			Device:        r.cfg.Device.Name,
 			Model:         string(r.cfg.Spec.ID),
-			Assigned:      len(r.assigned),
+			Assigned:      sm.Served,
 			ServeMetrics:  sm,
 			Crashes:       r.crashes,
 			ProvisionedAt: r.provisionedAt,
@@ -636,9 +517,9 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 		pm := r.eng.PrefixMetrics()
 		out.TierDemotions += pm.Demotions
 		out.TierPromotions += pm.Promotions
-		if r.eng.Clock() > out.WallTime {
-			out.WallTime = r.eng.Clock()
-		}
+		// The engine's clock may have idled forward to a decision instant;
+		// its last event's end is the replica's last completion.
+		out.WallTime = math.Max(out.WallTime, r.srv.IdleSince())
 		latencies = append(latencies, sm.Latencies...)
 		busy = append(busy, rm.BusyTime)
 	}
@@ -657,15 +538,16 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 }
 
 // afterTake, when non-nil, observes the router right after each dispatch
-// at clock t. Tests set it to check the dispatch logs mid-run.
-var afterTake func(ro *router, t float64)
+// to r at clock t. Tests set it to check engine state mid-run.
+var afterTake func(ro *router, r *replica, t float64)
 
 // dispatch routes the arrival-ordered stream through the ingress queue:
 // requests are pulled from the source and enter the shared queue as the
 // clock passes their arrivals, and whenever a replica can accept work
 // the admission discipline picks which waiting request goes next. The
 // dispatch clock is monotone — a request is never dispatched before an
-// earlier decision's time.
+// earlier decision's time — and every engine is advanced to each
+// decision instant before the router reads it.
 func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission Admission, stream *engine.Peekable, out *Metrics) error {
 	q := &ingress{discipline: admission}
 	drop := func(tr engine.TimedRequest) {
@@ -702,17 +584,16 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 	}
 
 	now := 0.0
-	for {
-		if !(stream.More() || q.len() > 0 || cx.retryPending()) {
+	for ro.err == nil {
+		if _, retry := cx.nextRetryAt(); !(stream.More() || q.len() > 0 || retry) {
 			// Nothing left to dispatch. Remaining crash events can still
-			// abort already-routed work: processing them may refill the
-			// retry queue (looping us back) or drop the aborts for good.
-			if !cx.crashPending() {
+			// abort routed work: processing them may refill the retry
+			// queue (looping us back) or drop the aborts for good.
+			at, ok := cx.nextCrashAt()
+			if !ok {
 				break
 			}
-			if at, _ := cx.nextCrashAt(); at > now {
-				now = at
-			}
+			now = math.Max(now, at)
 			cx.processUpTo(now)
 			continue
 		}
@@ -748,14 +629,20 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 			// arrival or retry; the event is processed, nothing is waiting.
 			continue
 		}
-		t, ok := ro.nextFree(now)
+		limit, ok := cx.nextCrashAt()
+		if !ok {
+			limit = math.Inf(1)
+		}
+		t, ok := ro.nextFree(now, limit)
+		if ro.err != nil {
+			break
+		}
 		if !ok {
 			// Permanent outage: every replica is dead for good, with no
-			// warm-ups, restarts, or breaker probes pending. An autoscaler
-			// below Max revives the pool with an emergency provision
-			// (ignoring cooldown); otherwise nothing can, so drop the rest
-			// of the stream in O(1) per request instead of rescanning the
-			// replicas for each one.
+			// warm-ups or restarts pending. An autoscaler below Max revives
+			// the pool with an emergency provision (ignoring cooldown);
+			// otherwise nothing can, so drop the rest of the stream in O(1)
+			// per request instead of rescanning the replicas for each one.
 			if as != nil && ro.liveCount(now) < as.cfg.Max {
 				if err := as.provision(ro, now, "outage"); err != nil {
 					return err
@@ -778,15 +665,15 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 				out.Offered++
 				drop(tr)
 			}
-			return nil
+			return ro.err
 		}
-		// A crash between now and the planned dispatch instant invalidates
-		// the plan — it may free capacity (aborts), kill the chosen
-		// replica, or open a breaker. Process it and re-route; dispatch
-		// never crosses an unprocessed crash.
-		if at, ok := cx.nextCrashAt(); ok && at <= t {
-			cx.processUpTo(at)
-			now = at
+		// A crash at or before the planned dispatch instant invalidates the
+		// plan — it frees capacity (aborts), may kill the chosen replica, or
+		// open a breaker. Process it and re-route; dispatch never crosses
+		// an unprocessed crash.
+		if t >= limit {
+			cx.processUpTo(limit)
+			now = limit
 			continue
 		}
 		// Arrivals during the capacity wait join the queue before the
@@ -804,19 +691,17 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 		if admission == Shed && tr.Deadline > 0 && t+ro.bestService(tr, t) > tr.Deadline {
 			// Even starting immediately on the fastest replica that could
 			// take it, the batch-1 service time alone overruns the
-			// deadline — a certain miss. Shed it and keep the capacity
-			// for work that can still make it, before the routing policy
-			// mutates any state for a request that never dispatches. (The
-			// serial backlog horizon is deliberately not consulted: it
-			// overestimates completion under batched decode and would
-			// shed feasible work.)
+			// deadline — a certain miss. Shed it and keep the capacity for
+			// work that can still make it, before the routing policy
+			// mutates any state for a request that never dispatches.
 			shed(tr)
 			now = t
 			continue
 		}
-		ro.chooseAt(tr, t).take(tr, t)
+		r := ro.chooseAt(tr, t)
+		r.take(tr, t)
 		if afterTake != nil {
-			afterTake(ro, t)
+			afterTake(ro, r, t)
 		}
 		if ft != nil {
 			ft.dispatched(tr, t)
@@ -824,7 +709,7 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 		}
 		now = t
 	}
-	return nil
+	return ro.err
 }
 
 // foldAutoscale finalizes the elastic-pool accounting: retire remaining
@@ -893,9 +778,10 @@ type router struct {
 	// fleet's replicas carry a host-DRAM tier); non-tiered fleets keep
 	// the legacy least-pinned behavior bit for bit.
 	tiered bool
-	// tmpl and trace build every replica the pool gains (newReplica), so
-	// autoscaler provisions match the initial engines.
+	// tmpl, local and trace build every replica the pool gains
+	// (newReplica), so autoscaler provisions match the initial engines.
 	tmpl   engine.Config
+	local  engine.SchedPolicy
 	trace  *telemetry.Trace
 	rrNext int
 	// sticky maps a session ID to the replica index its turns are pinned
@@ -906,25 +792,48 @@ type router struct {
 	pinned []int
 	// scratch backs the candidate list between dispatches.
 	scratch []int
+	// err is the first engine error; it ends the run.
+	err error
+}
+
+// advance brings r's engine to t and settles its breaker probe on the
+// engine's verdict.
+func (ro *router) advance(r *replica, t float64) {
+	if ro.err != nil {
+		return
+	}
+	if err := r.srv.AdvanceTo(t); err != nil {
+		ro.err = fmt.Errorf("fleet: replica %s: %w", r.cfg.Name, err)
+		return
+	}
+	if r.hs != nil {
+		r.hs.settle(r.srv.Served())
+	}
+}
+
+// free reports whether r can take a dispatch at t: routable, and
+// accepting on its engine's state.
+func (ro *router) free(r *replica, t float64) bool {
+	return r.routableAt(t) && ro.accepts(r, t)
+}
+
+// accepts advances r's engine to t and reports whether it holds fewer
+// than Capacity outstanding requests then, with no breaker probe
+// outstanding.
+func (ro *router) accepts(r *replica, t float64) bool {
+	ro.advance(r, t)
+	return r.srv.OutstandingAt(t) < r.cfg.Capacity && (r.hs == nil || !r.hs.probing)
 }
 
 // nextFree returns the earliest time >= t at which some replica can
-// accept a dispatch (routable with spare capacity), pruning completed
-// work as it scans. ok is false when no replica will ever accept again —
-// a permanent outage.
-func (ro *router) nextFree(t float64) (float64, bool) {
-	for {
-		for _, r := range ro.replicas {
-			if r.routableAt(t) && r.depth(t) < r.cfg.Capacity {
-				return t, true
-			}
-		}
-		// Everyone is full, cold, dead, down, blocked, or retired:
-		// advance to the next time a replica could accept — when it next
-		// becomes available (warm-up end, crash restart, breaker probe),
-		// or, if it is available but at capacity, when its earliest
-		// outstanding completion frees a slot (provided it is still
-		// available then).
+// accept a dispatch, or limit when no replica can before it (the caller
+// processes the crash there). A full or probing replica changes state
+// only at its engine's next decision point, so the search steps those
+// engines one event at a time, each from an instant at or before the
+// search clock. ok is false when no replica will ever accept again — a
+// permanent outage.
+func (ro *router) nextFree(t, limit float64) (float64, bool) {
+	for ro.err == nil {
 		next := math.Inf(1)
 		for _, r := range ro.replicas {
 			at, never := r.availAt(t)
@@ -935,28 +844,35 @@ func (ro *router) nextFree(t float64) (float64, bool) {
 				next = math.Min(next, at)
 				continue
 			}
-			if r.outstanding() > 0 {
-				free := r.est[r.done].finish
-				if at2, never2 := r.availAt(free); !never2 {
-					next = math.Min(next, math.Max(free, at2))
-				}
+			if ro.accepts(r, t) {
+				return t, true
+			}
+			if r.eng.Clock() <= t {
+				r.srv.Step() // an engine error resurfaces at the next advance
+			}
+			c := math.Max(r.eng.Clock(), t)
+			if at2, never2 := r.availAt(c); !never2 {
+				next = math.Min(next, math.Max(c, at2))
 			}
 		}
 		if math.IsInf(next, 1) {
 			return 0, false
 		}
+		if next >= limit {
+			return limit, true
+		}
 		t = next
 	}
+	return 0, false
 }
 
 // bestService is the fastest batch-1 service estimate among replicas
 // that could take the request at t — the certain-miss lower bound the
-// Shed discipline tests against. It mutates nothing but the idempotent
-// completed-work pruning in depth.
+// Shed discipline tests against.
 func (ro *router) bestService(tr engine.TimedRequest, t float64) float64 {
 	best := math.Inf(1)
 	for _, r := range ro.replicas {
-		if r.routableAt(t) && r.depth(t) < r.cfg.Capacity {
+		if ro.free(r, t) {
 			if s := r.estFinishFor(tr, t) - t; s < best {
 				best = s
 			}
@@ -966,11 +882,11 @@ func (ro *router) bestService(tr engine.TimedRequest, t float64) float64 {
 }
 
 // idleReplicas counts replicas that could start a request immediately —
-// routable with an empty backlog — at time t.
+// routable with nothing outstanding on the engine — at time t.
 func (ro *router) idleReplicas(t float64) int {
 	n := 0
 	for _, r := range ro.replicas {
-		if r.routableAt(t) && r.depth(t) == 0 {
+		if r.routableAt(t) && r.srv.OutstandingAt(t) == 0 {
 			n++
 		}
 	}
@@ -982,7 +898,7 @@ func (ro *router) idleReplicas(t float64) int {
 func (ro *router) chooseAt(tr engine.TimedRequest, t float64) *replica {
 	ro.scratch = ro.scratch[:0]
 	for i, r := range ro.replicas {
-		if r.routableAt(t) && r.depth(t) < r.cfg.Capacity {
+		if ro.free(r, t) {
 			ro.scratch = append(ro.scratch, i)
 		}
 	}
@@ -1011,7 +927,7 @@ func (ro *router) purge(idx int) {
 func (ro *router) choose(candidates []int, tr engine.TimedRequest, t float64) int {
 	switch ro.policy {
 	case LeastQueue:
-		return leastQueued(ro.replicas, candidates)
+		return leastQueued(ro.replicas, candidates, t)
 	case SessionAffinity:
 		// A session's turns chase their prefix KV: stay on the pinned
 		// replica while it can take the request. A new (or displaced)
@@ -1032,7 +948,7 @@ func (ro *router) choose(candidates []int, tr engine.TimedRequest, t float64) in
 			}
 		}
 		if tr.SessionID == "" {
-			return leastQueued(ro.replicas, candidates)
+			return leastQueued(ro.replicas, candidates, t)
 		}
 		if ro.sticky == nil {
 			ro.sticky = make(map[string]int)
@@ -1051,7 +967,8 @@ func (ro *router) choose(candidates []int, tr engine.TimedRequest, t float64) in
 			w := ro.warmth(i, tr)
 			if w > bestWarm ||
 				(w == bestWarm && (ro.pinned[i] < ro.pinned[best] ||
-					(ro.pinned[i] == ro.pinned[best] && ro.replicas[i].outstanding() < ro.replicas[best].outstanding()))) {
+					(ro.pinned[i] == ro.pinned[best] &&
+						ro.replicas[i].srv.OutstandingAt(t) < ro.replicas[best].srv.OutstandingAt(t)))) {
 				best, bestWarm = i, w
 			}
 		}
@@ -1076,12 +993,13 @@ func (ro *router) choose(candidates []int, tr engine.TimedRequest, t float64) in
 		ro.replicas[best].wrrCredit -= total
 		return best
 	case DeadlineAware:
-		// Earliest estimated completion: the replica most likely to get
-		// the request in under its deadline.
+		// Earliest estimated completion behind the engine's real
+		// outstanding work: the replica most likely to get the request in
+		// under its deadline.
 		best, bestFinish := candidates[0], math.Inf(1)
 		for _, i := range candidates {
 			r := ro.replicas[i]
-			est := r.estFinishFor(tr, math.Max(r.estFreeAt, t))
+			est := r.estFinishFor(tr, t+r.backlog())
 			if est < bestFinish {
 				best, bestFinish = i, est
 			}
@@ -1121,12 +1039,12 @@ func (ro *router) warmth(i int, tr engine.TimedRequest) int {
 	return 0
 }
 
-// leastQueued picks the candidate with the fewest outstanding requests,
-// breaking ties by index.
-func leastQueued(replicas []*replica, candidates []int) int {
+// leastQueued picks the candidate whose engine holds the fewest
+// outstanding requests at t, breaking ties by index.
+func leastQueued(replicas []*replica, candidates []int, t float64) int {
 	best := candidates[0]
 	for _, i := range candidates[1:] {
-		if replicas[i].outstanding() < replicas[best].outstanding() {
+		if replicas[i].srv.OutstandingAt(t) < replicas[best].srv.OutstandingAt(t) {
 			best = i
 		}
 	}

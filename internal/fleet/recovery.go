@@ -1,26 +1,24 @@
 // Fault injection and crash-consistent recovery for the fleet. A
-// Config.Faults schedule (or a ReplicaConfig.CrashAt shorthand) compiles
-// into per-replica timelines: crashes abort the replica's in-flight
-// dispatches and wipe its device KV cache (the host tier optionally
-// survives), stall windows freeze it, and throttle windows stretch its
-// decode rate. The recovery side makes faults survivable: aborted
-// requests re-enter the shared ingress under a RetryPolicy (bounded
-// attempts, exponential backoff, a deadline budget), and HealthConfig
-// adds per-replica health to routing — a consecutive-failure circuit
-// breaker with half-open probes, plus stall-window avoidance.
+// Config.Faults schedule compiles into per-replica fault views: crashes
+// abort the replica's unfinished work and wipe its device KV cache (the
+// host tier optionally survives), stall windows freeze it, and throttle
+// windows stretch its decode rate. The recovery side makes faults
+// survivable: aborted requests re-enter the shared ingress under a
+// RetryPolicy (bounded attempts, exponential backoff, a deadline
+// budget), and HealthConfig adds per-replica health to routing — a
+// consecutive-failure circuit breaker with half-open probes, plus
+// stall-window avoidance.
 //
-// Crash semantics are authoritative at the dispatch level, mirroring how
-// the router works on calibrated estimates everywhere else: the abort
-// set at a crash is the suffix of the replica's dispatch log whose
-// estimated completion lands after the crash instant (estimated finishes
-// are non-decreasing in dispatch order), and the surviving prefix drains
-// normally. Each aborted entry's logged queue wait restores its true
-// arrival for the retry. The engine sees the crash only as a cache-wipe
-// marker on the first post-restart request plus the stall/throttle
-// windows, which the router reads through the same engine.FaultInjection
-// lookups, so dispatch decisions and execution can never disagree about
-// which requests a crash destroyed. The fault machinery runs on every
-// fleet; a fault-free run simply has no crash events to process.
+// Crashes act on the engines themselves. The router advances the
+// crashed replica's engine to the crash instant and aborts it there
+// (engine.Server.Abort): exactly the requests it had not completed by
+// then — queued or in flight — are destroyed, each charged the device
+// time it had received, and the device prefix cache is wiped at that
+// instant. Completed requests stay served. The stall and throttle
+// windows live in each replica's engine.FaultInjection, which the engine
+// applies and the router reads through the same lookups. The fault
+// machinery runs on every fleet; a fault-free run simply has no crash
+// events to process.
 package fleet
 
 import (
@@ -76,9 +74,9 @@ type HealthConfig struct {
 	FailureThreshold int
 	// ProbeAfter is the open-to-half-open delay, measured from the
 	// moment the replica is back up (restart instant): the breaker then
-	// admits exactly one probe request; a probe whose estimated
-	// completion passes without another crash closes the breaker, a
-	// crash during the probe re-opens it. Default 5 s.
+	// admits exactly one probe request; a probe the engine completes
+	// without another crash closes the breaker, a crash during the probe
+	// re-opens it. Default 5 s.
 	ProbeAfter float64
 }
 
@@ -105,15 +103,9 @@ type crashPoint struct {
 	restart float64 // absolute rejoin instant; +Inf when it never returns
 }
 
-// timeline is one replica's compiled fault view.
+// timeline is one replica's compiled crash schedule.
 type timeline struct {
 	crashes []crashPoint // sorted ascending by at
-	// fx holds the stall and throttle windows — plus the crash-boundary
-	// cache wipes armed at dispatch — in the engine's own form: the router
-	// reads the windows through the same lookups the replica's drain
-	// applies them with.
-	fx       engine.FaultInjection
-	keepHost bool
 	// deadAt is the earliest no-restart crash instant (+Inf when every
 	// crash restarts): from deadAt on the replica is gone for good.
 	deadAt float64
@@ -133,14 +125,14 @@ func (tl *timeline) downAt(t float64) (bool, float64) {
 // replica's throttle windows: work inside a window runs Factor× slower,
 // work outside runs at full speed. A flat whole-service stretch would
 // overshoot badly for work that merely grazes a window.
-func (tl *timeline) finishAfter(t, svc float64) float64 {
+func (r *replica) finishAfter(t, svc float64) float64 {
 	rem := svc
 	for rem > 0 {
-		f := tl.fx.ThrottleAt(t)
+		f := r.fx.ThrottleAt(t)
 		// Advance to the next window boundary after t; the factor is
 		// constant until then.
 		next := math.Inf(1)
-		for _, w := range tl.fx.Throttles {
+		for _, w := range r.fx.Throttles {
 			if w.From > t && w.From < next {
 				next = w.From
 			}
@@ -158,15 +150,18 @@ func (tl *timeline) finishAfter(t, svc float64) float64 {
 }
 
 // healthState is one replica's circuit breaker. State changes are
-// applied at monotone dispatch-clock times by settle/strike/noteTake;
-// blockedAt is pure, so the router may probe future instants freely.
+// applied at monotone dispatch-clock times by strike/noteTake and on the
+// engine's completions by settle; blockedAt is pure, so the router may
+// probe future instants freely.
 type healthState struct {
-	cfg         HealthConfig
-	fails       int  // consecutive crashes
-	open        bool // breaker open: no traffic before openUntil, then one probe
-	openUntil   float64
-	probing     bool // the half-open probe is outstanding
-	probeFinish float64
+	cfg       HealthConfig
+	fails     int  // consecutive crashes
+	open      bool // breaker open: no traffic before openUntil, then one probe
+	openUntil float64
+	// probing marks the half-open probe outstanding: it holds the replica
+	// until the engine's served count passes probeDone.
+	probing   bool
+	probeDone int
 }
 
 // strike records a crash at a replica that comes back up at backUpAt,
@@ -187,55 +182,34 @@ func (h *healthState) strike(backUpAt float64) bool {
 	return false
 }
 
-// blockedAt reports whether the breaker blocks dispatch at t, and until
-// when it does.
+// blockedAt reports whether the open breaker blocks dispatch at t, and
+// until when. An outstanding probe blocks too (probing), until the
+// engine's verdict, which has no instant known in advance.
 func (h *healthState) blockedAt(t float64) (bool, float64) {
-	if !h.open {
-		return false, 0
-	}
-	if t < h.openUntil {
+	if h.open && t < h.openUntil {
 		return true, h.openUntil
-	}
-	if h.probing && t < h.probeFinish {
-		// Half-open admits exactly one probe; everyone else waits for
-		// its verdict.
-		return true, h.probeFinish
 	}
 	return false, 0
 }
 
-// settle closes the breaker once the outstanding probe's estimated
-// completion has passed without a crash taking it down.
-func (h *healthState) settle(t float64) {
-	if h.open && h.probing && h.probeFinish <= t {
+// settle closes the breaker once the engine has served the probe
+// without a crash taking it down.
+func (h *healthState) settle(served int) {
+	if h.open && h.probing && served > h.probeDone {
 		h.open = false
 		h.probing = false
 		h.fails = 0
 	}
 }
 
-// noteTake records a half-open dispatch, estimated to finish at finish,
-// as the breaker's probe.
-func (h *healthState) noteTake(t, finish float64) {
+// noteTake records a half-open dispatch as the breaker's probe. ahead is
+// the engine's served count plus what it held at the dispatch: the probe
+// is judged done once the engine has served past it.
+func (h *healthState) noteTake(t float64, ahead int) {
 	if h.open && !h.probing && t >= h.openUntil {
 		h.probing = true
-		h.probeFinish = finish
+		h.probeDone = ahead
 	}
-}
-
-// injection is the engine-level fault view of this replica's drain: its
-// stall and throttle windows plus the crash-boundary cache wipes. Nil
-// when there is nothing to inject, keeping those drains byte-identical
-// to a fault-free run.
-func (r *replica) injection() *engine.FaultInjection {
-	if r.tl == nil {
-		return nil
-	}
-	fx := &r.tl.fx
-	if len(fx.Stalls) == 0 && len(fx.Throttles) == 0 && len(fx.CrashWipes) == 0 {
-		return nil
-	}
-	return fx
 }
 
 // chaosEvent is one crash in the run's global, time-ordered sequence.
@@ -244,16 +218,15 @@ type chaosEvent struct {
 	replica     int
 }
 
-// compileFaults attaches per-replica fault timelines from Config.Faults
-// and the ReplicaConfig.CrashAt shorthand, returning the global crash
-// sequence in processing order. Fault schedules target the configured
-// replica set; autoscaler-provisioned replicas are fault-free.
+// compileFaults attaches per-replica fault views from Config.Faults,
+// returning the global crash sequence in processing order. Fault
+// schedules target the configured replica set; autoscaler-provisioned
+// replicas are fault-free.
 func compileFaults(cfg Config, replicas []*replica) ([]chaosEvent, error) {
-	keepHost := cfg.Faults != nil && cfg.Faults.HostSurvivesCrash
 	tl := func(i int) *timeline {
 		r := replicas[i]
 		if r.tl == nil {
-			r.tl = &timeline{keepHost: keepHost, deadAt: math.Inf(1)}
+			r.tl = &timeline{deadAt: math.Inf(1)}
 		}
 		return r.tl
 	}
@@ -270,22 +243,14 @@ func compileFaults(cfg Config, replicas []*replica) ([]chaosEvent, error) {
 				}
 				tl(ev.Replica).crashes = append(tl(ev.Replica).crashes, crashPoint{at: ev.At, restart: restart})
 			case faults.Stall:
-				fx := &tl(ev.Replica).fx
+				fx := &replicas[ev.Replica].fx
 				fx.Stalls = append(fx.Stalls, engine.StallWindow{From: ev.At, To: ev.At + ev.Duration})
 			case faults.Throttle:
 				if ev.Factor > 1 {
-					fx := &tl(ev.Replica).fx
+					fx := &replicas[ev.Replica].fx
 					fx.Throttles = append(fx.Throttles, engine.ThrottleWindow{From: ev.At, To: ev.At + ev.Duration, Factor: ev.Factor})
 				}
 			}
-		}
-	}
-	for i, r := range replicas {
-		if c := r.cfg.CrashAt; c != 0 {
-			if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
-				return nil, fmt.Errorf("fleet: replica %s CrashAt must be finite and non-negative, got %v", r.cfg.Name, c)
-			}
-			tl(i).crashes = append(tl(i).crashes, crashPoint{at: c, restart: math.Inf(1)})
 		}
 	}
 	var seq []chaosEvent
@@ -323,10 +288,10 @@ type retryItem struct {
 // run has one; without crash events it never aborts anything.
 type chaos struct {
 	ro *router
-	// retry is the defaulted Config.Retry and health is Config.Health;
-	// nil disables re-admission and breaker settling respectively.
+	// retry is the defaulted Config.Retry (nil disables re-admission);
+	// keepHost is the schedule's HostSurvivesCrash.
 	retry    *RetryPolicy
-	health   *HealthConfig
+	keepHost bool
 	events   []chaosEvent
 	next     int
 	pending  []retryItem // sorted ascending by at; consumed from head
@@ -336,16 +301,12 @@ type chaos struct {
 	ft       *fleetTracer // nil when tracing is off
 }
 
-func (cx *chaos) crashPending() bool { return cx.next < len(cx.events) }
-
 func (cx *chaos) nextCrashAt() (float64, bool) {
 	if cx.next < len(cx.events) {
 		return cx.events[cx.next].at, true
 	}
 	return 0, false
 }
-
-func (cx *chaos) retryPending() bool { return cx.head < len(cx.pending) }
 
 func (cx *chaos) nextRetryAt() (float64, bool) {
 	if cx.head < len(cx.pending) {
@@ -394,77 +355,58 @@ func (cx *chaos) pushRetry(it retryItem) {
 }
 
 // processUpTo handles every crash event at or before t, in global time
-// order, and settles the breakers at t. Idempotent and monotone: the
-// dispatch loop calls it at every clock advance, and a crash is always
-// processed before any dispatch decision at or after its instant.
+// order, then advances every engine to a finite t (settling breaker
+// probes on the way). Idempotent and monotone: the dispatch loop calls it
+// at every clock advance, and a crash is always processed before any
+// dispatch decision at or after its instant.
 func (cx *chaos) processUpTo(t float64) {
 	for cx.next < len(cx.events) && cx.events[cx.next].at <= t {
 		ev := cx.events[cx.next]
 		cx.next++
 		cx.crash(ev)
 	}
-	if cx.health != nil && !math.IsInf(t, 1) {
+	if !math.IsInf(t, 1) {
 		for _, r := range cx.ro.replicas {
-			if r.hs != nil {
-				r.hs.settle(t)
-			}
+			cx.ro.advance(r, t)
+			r.prune(math.Min(t, r.eng.Clock()))
 		}
 	}
 }
 
-// crash executes one crash event: abort the in-flight suffix of the
-// replica's sub-stream, account the lost work, route each abort to the
-// retry queue or the drop ledger, arm the cache wipe for the replica's
-// first post-restart dispatch, strike its breaker, and purge its sticky
-// sessions so they re-pin by warmth.
+// prune drops the leading fault windows that ended by t: every later
+// engine event and router query on the replica starts at or after t, so
+// they can no longer matter, and the lookups stay short on long runs.
+// Windows are compiled in start order.
+func (r *replica) prune(t float64) {
+	for len(r.fx.Stalls) > 0 && r.fx.Stalls[0].To <= t {
+		r.fx.Stalls = r.fx.Stalls[1:]
+	}
+	for len(r.fx.Throttles) > 0 && r.fx.Throttles[0].To <= t {
+		r.fx.Throttles = r.fx.Throttles[1:]
+	}
+}
+
+// crash executes one crash event: advance the replica's engine to the
+// crash instant — a probe it completed by then settles the breaker, so
+// the crash is a fresh strike — abort everything it had not completed,
+// account the device time lost, route each abort to the retry queue or
+// the drop ledger, strike its breaker, and purge its sticky sessions so
+// they re-pin by warmth.
 func (cx *chaos) crash(ev chaosEvent) {
 	r := cx.ro.replicas[ev.replica]
-	if r.hs != nil {
-		// A probe that was estimated to finish before this crash
-		// succeeded: settle it first, so the crash is a fresh strike
-		// rather than a continuation of the old open.
-		r.hs.settle(ev.at)
-	}
+	cx.ro.advance(r, ev.at)
 	cx.out.Crashes++
 	r.crashes++
 	if cx.ft != nil {
 		cx.ft.crashed(r.cfg.Name, ev.at)
 	}
-	cut := len(r.assigned)
-	for cut > 0 && r.est[cut-1].finish > ev.at {
-		cut--
-	}
-	for i := cut; i < len(r.assigned); i++ {
-		tr := r.assigned[i]
-		svc := r.estService(tr)
-		lost := 0.0
-		if start := r.est[i].finish - svc; start < ev.at {
-			lost = math.Min(ev.at-start, svc)
-			cx.out.LostWorkSeconds += lost
-		}
+	for _, a := range r.srv.Abort(ev.at, cx.keepHost) {
+		cx.out.LostWorkSeconds += a.Device
 		cx.out.Aborted++
 		if cx.ft != nil {
-			cx.ft.aborted(tr, ev.at, lost, r.cfg.Name, cx.attempts[tr.ID])
+			cx.ft.aborted(a, ev.at, r.cfg.Name, cx.attempts[a.ID])
 		}
-		// Undo the dispatch-time arrival rewrite so the retry re-enters
-		// with its true arrival and the eventual latency spans every
-		// attempt.
-		orig := tr
-		orig.Arrival = tr.Arrival - r.est[i].wait
-		cx.requeue(orig, ev.at)
-		r.assigned[i] = engine.TimedRequest{}
-	}
-	r.assigned = r.assigned[:cut]
-	r.est = r.est[:cut]
-	// Every surviving dispatch was estimated done by the crash instant,
-	// so nothing is outstanding.
-	r.done = cut
-	if !math.IsInf(ev.restart, 1) {
-		r.estFreeAt = ev.restart
-		// The device KV cache dies with the crash: the first request
-		// dispatched after the restart carries the wipe marker into the
-		// replica's drain.
-		r.pendingWipe = true
+		cx.requeue(a.TimedRequest, ev.at)
 	}
 	if r.hs != nil {
 		backUp := ev.restart

@@ -102,13 +102,14 @@ func TestHealthStateBreakerLifecycle(t *testing.T) {
 	if blocked, until := h.blockedAt(21); !blocked || until != 25 {
 		t.Fatalf("open breaker blockedAt(21) = %v until %v, want true/25", blocked, until)
 	}
-	// Half-open: one probe admitted; others wait on its estimated finish.
+	// Half-open: one probe admitted; others wait on the engine's verdict
+	// — until it has served past the probe (served count 0 at dispatch).
 	if blocked, _ := h.blockedAt(25); blocked {
 		t.Fatal("half-open breaker must admit the probe")
 	}
-	h.noteTake(25, 28)
-	if blocked, until := h.blockedAt(26); !blocked || until != 28 {
-		t.Fatalf("probing breaker blockedAt(26) = %v until %v, want true/28", blocked, until)
+	h.noteTake(25, 0)
+	if h.settle(0); !h.probing || !h.open {
+		t.Fatalf("probing breaker probing=%v open=%v before the probe is served, want true/true", h.probing, h.open)
 	}
 	// A crash during the probe re-opens from the new restart.
 	h.strike(30)
@@ -116,8 +117,8 @@ func TestHealthStateBreakerLifecycle(t *testing.T) {
 		t.Fatalf("re-opened breaker blockedAt(31) = %v until %v, want true/35", blocked, until)
 	}
 	// Probe completes uneventfully: settle closes and resets the count.
-	h.noteTake(35, 37)
-	h.settle(37)
+	h.noteTake(35, 4)
+	h.settle(5)
 	if h.open || h.fails != 0 {
 		t.Fatalf("settled breaker open=%v fails=%d, want closed/0", h.open, h.fails)
 	}
@@ -342,7 +343,7 @@ func TestSessionAffinityRePinsBySurvivingWarmthAfterCrash(t *testing.T) {
 	mk := func(name string) *replica {
 		r, err := newReplica(ReplicaConfig{
 			Name: name, Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB(),
-		}.withDefaults(0), tieredOpts(), nil)
+		}.withDefaults(0), tieredOpts(), engine.FCFS, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,11 +371,11 @@ func TestSessionAffinityRePinsBySurvivingWarmthAfterCrash(t *testing.T) {
 		t.Fatalf("pinned to %d, want 0 (host-warm)", got)
 	}
 
-	// The pinned replica crashes mid-session with host DRAM persistent.
+	// The pinned replica crashes mid-session with host DRAM persistent;
+	// the crash wipes its device cache.
 	var out Metrics
-	cx := &chaos{ro: ro, out: &out}
+	cx := &chaos{ro: ro, out: &out, keepHost: true}
 	cx.crash(chaosEvent{at: 5100, restart: 5105, replica: 0})
-	crashed.eng.CrashResetPrefix(true)
 
 	if _, ok := ro.sticky["s0"]; ok {
 		t.Fatal("crash must purge the session's sticky pin")
@@ -395,7 +396,8 @@ func TestSessionAffinityRePinsBySurvivingWarmthAfterCrash(t *testing.T) {
 	}
 
 	// Without persistent DRAM the wipe leaves nothing to return to.
-	crashed.eng.CrashResetPrefix(false)
+	cx.keepHost = false
+	cx.crash(chaosEvent{at: 5300, restart: 5305, replica: 0})
 	if w := ro.warmth(0, turn2); w != 0 {
 		t.Fatalf("warmth %d after full wipe, want 0 (cold)", w)
 	}
@@ -436,10 +438,10 @@ func TestCrashTimelineAvailability(t *testing.T) {
 // TestThrottleAwareFinishEstimates pins the router's thermal-state
 // integration: finishAfter runs work Factor× slower inside throttle
 // windows and at full speed outside, compounding overlaps like the
-// engine's drain-time stretch — and estFinishFor only reads it under
-// health-aware routing, so a blind fleet's estimates are untouched.
+// engine's stretch — and estFinishFor only reads it under health-aware
+// routing, so a blind fleet's estimates are untouched.
 func TestThrottleAwareFinishEstimates(t *testing.T) {
-	tl := &timeline{fx: engine.FaultInjection{Throttles: []engine.ThrottleWindow{{From: 10, To: 20, Factor: 2}}}}
+	tl := &replica{fx: engine.FaultInjection{Throttles: []engine.ThrottleWindow{{From: 10, To: 20, Factor: 2}}}}
 	cases := []struct {
 		start, svc, want float64
 	}{
@@ -455,7 +457,7 @@ func TestThrottleAwareFinishEstimates(t *testing.T) {
 			t.Errorf("finishAfter(%v, %v) = %v, want %v", c.start, c.svc, got, c.want)
 		}
 	}
-	over := &timeline{fx: engine.FaultInjection{Throttles: []engine.ThrottleWindow{
+	over := &replica{fx: engine.FaultInjection{Throttles: []engine.ThrottleWindow{
 		{From: 0, To: 10, Factor: 2}, {From: 5, To: 10, Factor: 2},
 	}}}
 	if got := over.fx.ThrottleAt(6); got != 4 {
@@ -465,7 +467,8 @@ func TestThrottleAwareFinishEstimates(t *testing.T) {
 		t.Errorf("finishAfter(5, 1) under compounded 4x = %v, want 9", got)
 	}
 
-	r := &replica{cfg: ReplicaConfig{}.withDefaults(0), decodePerTok: 1, tl: tl}
+	r := tl
+	r.cfg, r.decodePerTok = ReplicaConfig{}.withDefaults(0), 1
 	tr := engine.TimedRequest{Request: engine.Request{OutputTokens: 12}}
 	if got := r.estFinishFor(tr, 0); got != 12 {
 		t.Errorf("blind estFinishFor = %v, want unstretched 12", got)

@@ -38,7 +38,7 @@ func TestSessionAffinityPrefersWarmHostOverCold(t *testing.T) {
 	mk := func(name string) *replica {
 		r, err := newReplica(ReplicaConfig{
 			Name: name, Spec: smallSpec(), Device: hw.JetsonAGXOrin64GB(),
-		}.withDefaults(0), tieredOpts(), nil)
+		}.withDefaults(0), tieredOpts(), engine.FCFS, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

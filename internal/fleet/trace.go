@@ -86,18 +86,17 @@ func (ft *fleetTracer) dispatched(tr engine.TimedRequest, t float64) {
 	})
 }
 
-// aborted records one crash-destroyed dispatch on the faults track and
-// opens a flow for the retry that may follow. tr.Arrival here is the
-// dispatch time (the loop restores the true arrival only on the requeue
-// copy), so the span covers the attempt's time on the replica.
-func (ft *fleetTracer) aborted(tr engine.TimedRequest, at, lost float64, replica string, attempt int) {
+// aborted records one crash-destroyed attempt on the faults track — from
+// its dispatch to the crash, carrying the device time it had received —
+// and opens a flow for the retry that may follow.
+func (ft *fleetTracer) aborted(a engine.Aborted, at float64, replica string, attempt int) {
 	flow := ft.trace.NextFlow()
 	ft.pendingFlow = flow
 	ft.faults.Record(telemetry.Span{
-		ID: tr.ID, Kind: telemetry.KindAborted,
-		Lane:  ft.flanes.Lane(tr.Arrival, at),
-		Start: tr.Arrival, End: at,
-		Cause: replica, Lost: lost, Attempt: attempt,
+		ID: a.ID, Kind: telemetry.KindAborted,
+		Lane:  ft.flanes.Lane(a.Since, at),
+		Start: a.Since, End: at,
+		Cause: replica, Lost: a.Device, Attempt: attempt,
 		Flow: flow, FlowStart: true,
 	})
 }
@@ -132,16 +131,13 @@ func (ft *fleetTracer) crashed(replica string, at float64) {
 func (ft *fleetTracer) faultWindows(replicas []*replica) {
 	var spans []telemetry.Span
 	for _, r := range replicas {
-		if r.tl == nil {
-			continue
-		}
-		for _, w := range r.tl.fx.Stalls {
+		for _, w := range r.fx.Stalls {
 			spans = append(spans, telemetry.Span{
 				Kind: telemetry.KindStall, Cause: r.cfg.Name,
 				Start: w.From, End: w.To,
 			})
 		}
-		for _, w := range r.tl.fx.Throttles {
+		for _, w := range r.fx.Throttles {
 			spans = append(spans, telemetry.Span{
 				Kind: telemetry.KindThrottle, Cause: r.cfg.Name,
 				Start: w.From, End: w.To, Factor: w.Factor,

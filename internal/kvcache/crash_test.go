@@ -16,8 +16,8 @@ func TestCrashResetWipesUntieredIndex(t *testing.T) {
 
 	ix.CrashReset(true) // keepHost is moot with no tier attached
 	m := ix.Metrics()
-	if m.CrashWipes != 1 || m.CrashDropped != 2 {
-		t.Fatalf("wipes %d dropped %d, want 1/2", m.CrashWipes, m.CrashDropped)
+	if m.CrashResets != 1 || m.CrashDropped != 2 {
+		t.Fatalf("wipes %d dropped %d, want 1/2", m.CrashResets, m.CrashDropped)
 	}
 	if m.Retained != 0 {
 		t.Fatalf("retained %d after crash, want 0", m.Retained)

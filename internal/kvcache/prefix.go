@@ -50,10 +50,10 @@ type PrefixMetrics struct {
 	// promotions (blocks x block bytes / link bandwidth). The engine
 	// folds per-Acquire deltas into that request's TTFT.
 	RestoreSeconds float64
-	// CrashWipes counts CrashReset calls; CrashDropped the entries they
+	// CrashResets counts CrashReset calls; CrashDropped the entries they
 	// destroyed (device entries always; host entries unless the tier was
 	// kept and their whole chain was host-resident).
-	CrashWipes   int
+	CrashResets  int
 	CrashDropped int
 }
 
@@ -359,7 +359,7 @@ func (ix *PrefixIndex) evictOne() bool {
 // serving layer aborts them separately, and their blocks free when they
 // do. Index invariants hold afterwards.
 func (ix *PrefixIndex) CrashReset(keepHost bool) {
-	ix.m.CrashWipes++
+	ix.m.CrashResets++
 	if len(ix.entries) == 0 {
 		return
 	}

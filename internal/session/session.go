@@ -131,14 +131,7 @@ func Generate(p Profile, seed uint64) ([]engine.TimedRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]engine.TimedRequest, 0, p.Sessions*p.Turns*2)
-	for {
-		tr, ok := src.Next()
-		if !ok {
-			return out, nil
-		}
-		out = append(out, tr)
-	}
+	return engine.Collect(src), nil
 }
 
 // generateSession emits one session's think/act requests against its

@@ -26,9 +26,9 @@ type Point struct {
 	T, V float64
 }
 
-// Series is one bounded sampled time-series, owned by a single producer
-// goroutine (per-replica series belong to that replica's drain; fleet
-// series to the dispatch loop). Overflow degrades resolution, never
+// Series is one bounded sampled time-series with a single producer
+// (per-replica series belong to that replica's engine; fleet series to
+// the dispatch loop). Overflow degrades resolution, never
 // correctness: when the point budget fills, every other point is dropped
 // and the minimum sample gap doubles, so a series covers any run length
 // in O(maxPoints) memory with uniform-in-time thinning.

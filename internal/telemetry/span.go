@@ -9,10 +9,10 @@
 // engine (its lanes are the engine's batch-arena slots, so sibling spans
 // on a lane never overlap), one ingress track for shared-queue waits,
 // and one faults track for crash/stall/throttle windows and aborted
-// attempts. Tracks are single-writer — each replica's drain goroutine
-// records only into its own track — so concurrent drains need no
-// per-record locking; the shared registry is only touched at
-// registration time, under a mutex.
+// attempts. Tracks are single-writer — each replica's engine records
+// only into its own track — so recording needs no per-record locking;
+// the shared registry is only touched at registration time, under a
+// mutex.
 package telemetry
 
 // Span kinds. A request's life renders as one enclosing KindRequest span
