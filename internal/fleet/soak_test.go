@@ -11,8 +11,10 @@ import (
 // the fleet ingress — generated lazily, never materialized — and checks
 // the conservation invariant end to end: every request that entered the
 // ingress is accounted for as served or dropped. Run under -race in CI
-// (the soak-smoke step) it also exercises the concurrent replica drain
-// at a scale the unit tests never reach. The deadline slack plus shed
+// (the soak-smoke step), it drives the serial fleet co-simulation, one
+// goroutine stepping every replica engine, at a scale the unit tests
+// never reach, so a goroutine or shared state slipped into the serving
+// path would race where this test looks. The deadline slack plus shed
 // admission keeps both sides of the ledger non-trivial: an overloaded
 // pool must actually drop work for the invariant to mean anything.
 func TestSoakStreamConservation(t *testing.T) {

@@ -91,8 +91,10 @@ func TestSeriesThinningAndCounter(t *testing.T) {
 // buildTrace assembles a small two-replica faulted trace by hand: one
 // clean request on r0, one crash-aborted-then-retried request served by
 // r1, with ingress queue spans and nested phase spans.
-func buildTrace() *Trace {
-	tra := New(Config{})
+func buildTrace() *Trace { return recordFaultedRun(New(Config{})) }
+
+// recordFaultedRun records buildTrace's run into tra.
+func recordFaultedRun(tra *Trace) *Trace {
 	ing := tra.Track("ingress")
 	fl := tra.Track("faults")
 	r0 := tra.Track("r0")
@@ -194,16 +196,7 @@ func TestChromeTraceExportRoundTrip(t *testing.T) {
 // not overshoot by rounding.
 func TestChromeTraceNestsLateSpans(t *testing.T) {
 	tra := New(Config{})
-	r0 := tra.Track("r0")
-	start := 28809.84 // 2.88e10 µs, where one ulp is ~3.8e-6 µs
-	for i := 0; i < 400; i++ {
-		mid := start + 0.0173*float64(1+i%7)
-		end := mid + 0.311 + 0.0029*float64(i%11)
-		r0.Record(Span{ID: "q", Kind: KindRequest, Start: start, End: end})
-		r0.Record(Span{ID: "q", Kind: KindPrefill, Start: start, End: mid})
-		r0.Record(Span{ID: "q", Kind: KindDecode, Start: mid, End: end})
-		start = end // back to back: the next request starts as this one ends
-	}
+	r0 := recordLateSpans(tra)
 	var buf bytes.Buffer
 	if err := tra.WriteChromeTrace(&buf); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
@@ -234,6 +227,23 @@ func TestChromeTraceNestsLateSpans(t *testing.T) {
 	if spans != 1200 {
 		t.Fatalf("exported %d complete spans, want 1200", spans)
 	}
+}
+
+// recordLateSpans records 400 back-to-back requests, each a request span
+// with prefill and decode children, on track r0 of tra, starting eight
+// hours into simulated time.
+func recordLateSpans(tra *Trace) *Track {
+	r0 := tra.Track("r0")
+	start := 28809.84 // 2.88e10 µs, where one ulp is ~3.8e-6 µs
+	for i := 0; i < 400; i++ {
+		mid := start + 0.0173*float64(1+i%7)
+		end := mid + 0.311 + 0.0029*float64(i%11)
+		r0.Record(Span{ID: "q", Kind: KindRequest, Start: start, End: end})
+		r0.Record(Span{ID: "q", Kind: KindPrefill, Start: start, End: mid})
+		r0.Record(Span{ID: "q", Kind: KindDecode, Start: mid, End: end})
+		start = end // back to back: the next request starts as this one ends
+	}
+	return r0
 }
 
 func TestValidateChromeTraceRejectsMalformed(t *testing.T) {

@@ -245,13 +245,20 @@ func (tr *Track) Record(s Span) {
 
 // Spans returns the retained spans in record order.
 func (tr *Track) Spans() []Span {
-	if tr.dropped == 0 {
-		return tr.spans
+	older, newer := tr.ring()
+	if len(newer) == 0 {
+		return older
 	}
 	out := make([]Span, 0, len(tr.spans))
-	out = append(out, tr.spans[tr.next:]...)
-	out = append(out, tr.spans[:tr.next]...)
-	return out
+	out = append(out, older...)
+	return append(out, newer...)
+}
+
+// ring returns the retained spans in record order as the ring's two
+// halves, oldest first, without copying (newer is empty until the ring
+// wraps).
+func (tr *Track) ring() (older, newer []Span) {
+	return tr.spans[tr.next:], tr.spans[:tr.next]
 }
 
 // Gauge returns the track-labeled gauge series.

@@ -24,9 +24,11 @@
 # workload source; sim-events/s and live heap ride along as custom
 # metrics), and the llm twin (BenchmarkMajorityVote32: one SF-32 vote on
 # a warm twin; BenchmarkTwinFig9Sweep: a fresh twin sweeping Fig 9's
-# scaling factors over 100 questions). Only allocs/op is gated — it is
-# deterministic across machines — while ns/op is recorded for the
-# before/after table in the README. The
+# scaling factors over 100 questions), and the Chrome trace exporter
+# (BenchmarkWriteChromeTrace: a six-track synthetic fleet trace with
+# wrapped rings; its allocs/op scale with tracks, not spans). Only
+# allocs/op is gated — it is deterministic across machines — while
+# ns/op is recorded for the before/after table in the README. The
 # pre-optimization reference in BENCH_serve.json's "pre_pr" section is
 # preserved across updates, and each update also appends a per-PR
 # "history" entry tagged with the commit the measurement was taken at,
@@ -50,6 +52,8 @@ run_benches() {
     -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/fleet
   go test -run '^$' -bench 'BenchmarkMajorityVote32$|BenchmarkTwinFig9Sweep$' \
     -benchmem -benchtime "$BENCHTIME" -count 1 .
+  go test -run '^$' -bench 'BenchmarkWriteChromeTrace$' \
+    -benchmem -benchtime "$BENCHTIME" -count 1 ./internal/telemetry
 }
 
 case "$MODE" in
