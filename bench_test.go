@@ -351,9 +351,17 @@ func BenchmarkKVCacheAppend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := c.Allocate("s", 1); err != nil {
-		b.Fatal(err)
+	admit := func() kvcache.Handle {
+		if err := c.AllocateReserve("s", 1, 1); err != nil {
+			b.Fatal(err)
+		}
+		h, err := c.Lookup("s")
+		if err != nil {
+			b.Fatal(err)
+		}
+		return h
 	}
+	h := admit()
 	// Recycle the sequence before the cache fills (1M-block cache holds
 	// ~16.7M tokens; restart every 8M appends).
 	const recycleAt = 8 << 20
@@ -361,14 +369,12 @@ func BenchmarkKVCacheAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%recycleAt == recycleAt-1 {
-			if err := c.Free("s"); err != nil {
+			if err := c.FreeH(h); err != nil {
 				b.Fatal(err)
 			}
-			if err := c.Allocate("s", 1); err != nil {
-				b.Fatal(err)
-			}
+			h = admit()
 		}
-		if err := c.AppendToken("s"); err != nil {
+		if err := c.AppendTokensH(h, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

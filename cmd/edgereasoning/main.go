@@ -103,12 +103,30 @@ func (c config) runnerOptions() experiments.RunnerOptions {
 	return experiments.RunnerOptions{Parallelism: c.parallel, Timeout: c.timeout}
 }
 
+// flagGroup registers one subcommand's own knobs on fs and returns the
+// step that validates their parsed values into opts.
+type flagGroup func(fs *flag.FlagSet) func(opts *experiments.Options) error
+
+// subcommands maps each single-driver subcommand, which runs the driver
+// of the same name, to the flag groups it accepts beyond the shared set.
+var subcommands = map[string][]flagGroup{
+	"fleet":     {fleetFlags},
+	"sessions":  {sessionShapeFlags, sessionPolicyFlag},
+	"tiering":   {sessionShapeFlags, tieringFlags},
+	"autoscale": {autoscaleFlags},
+	"saturate":  {saturateFlags},
+	"drills":    {drillFlags},
+}
+
 func run(args []string) error {
 	if len(args) == 0 {
 		usage()
 		return fmt.Errorf("missing command")
 	}
 	cmd, rest := args[0], args[1:]
+	if groups, ok := subcommands[cmd]; ok {
+		return runIDs(cmd, []string{cmd}, rest, groups...)
+	}
 	switch cmd {
 	case "list":
 		for _, id := range experiments.IDs() {
@@ -119,77 +137,9 @@ func run(args []string) error {
 		if len(rest) == 0 {
 			return fmt.Errorf("run: missing experiment id")
 		}
-		cfg, err := parseFlags(rest[1:], false, false, false, false, false, false)
-		if err != nil {
-			return err
-		}
-		if cfg.seedsSet {
-			return fmt.Errorf("run: -seeds only applies to sweep (use -seed)")
-		}
-		return execute([]string{rest[0]}, cfg)
+		return runIDs(cmd, rest[:1], rest[1:])
 	case "all":
-		cfg, err := parseFlags(rest, false, false, false, false, false, false)
-		if err != nil {
-			return err
-		}
-		if cfg.seedsSet {
-			return fmt.Errorf("all: -seeds only applies to sweep (use -seed)")
-		}
-		return execute(experiments.IDs(), cfg)
-	case "fleet":
-		cfg, err := parseFlags(rest, true, false, false, false, false, false)
-		if err != nil {
-			return err
-		}
-		if cfg.seedsSet {
-			return fmt.Errorf("fleet: -seeds only applies to sweep (use -seed)")
-		}
-		return execute([]string{"fleet"}, cfg)
-	case "sessions":
-		cfg, err := parseFlags(rest, false, true, false, false, false, false)
-		if err != nil {
-			return err
-		}
-		if cfg.seedsSet {
-			return fmt.Errorf("sessions: -seeds only applies to sweep (use -seed)")
-		}
-		return execute([]string{"sessions"}, cfg)
-	case "tiering":
-		cfg, err := parseFlags(rest, false, false, false, false, true, false)
-		if err != nil {
-			return err
-		}
-		if cfg.seedsSet {
-			return fmt.Errorf("tiering: -seeds only applies to sweep (use -seed)")
-		}
-		return execute([]string{"tiering"}, cfg)
-	case "autoscale":
-		cfg, err := parseFlags(rest, false, false, true, false, false, false)
-		if err != nil {
-			return err
-		}
-		if cfg.seedsSet {
-			return fmt.Errorf("autoscale: -seeds only applies to sweep (use -seed)")
-		}
-		return execute([]string{"autoscale"}, cfg)
-	case "saturate":
-		cfg, err := parseFlags(rest, false, false, false, true, false, false)
-		if err != nil {
-			return err
-		}
-		if cfg.seedsSet {
-			return fmt.Errorf("saturate: -seeds only applies to sweep (use -seed)")
-		}
-		return execute([]string{"saturate"}, cfg)
-	case "drills":
-		cfg, err := parseFlags(rest, false, false, false, false, false, true)
-		if err != nil {
-			return err
-		}
-		if cfg.seedsSet {
-			return fmt.Errorf("drills: -seeds only applies to sweep (use -seed)")
-		}
-		return execute([]string{"drills"}, cfg)
+		return runIDs(cmd, experiments.IDs(), rest)
 	case "soak":
 		return soak(rest)
 	case "trace":
@@ -198,7 +148,7 @@ func run(args []string) error {
 		if len(rest) == 0 {
 			return fmt.Errorf("sweep: missing experiment id")
 		}
-		cfg, err := parseFlags(rest[1:], false, false, false, false, false, false)
+		cfg, err := parseFlags(rest[1:])
 		if err != nil {
 			return err
 		}
@@ -215,10 +165,22 @@ func run(args []string) error {
 	}
 }
 
-// parseFlags parses the shared flag set; withFleet, withSessions,
-// withAutoscale, withSaturate, withTiering, and withDrills additionally
-// register their subcommands' knobs.
-func parseFlags(args []string, withFleet, withSessions, withAutoscale, withSaturate, withTiering, withDrills bool) (config, error) {
+// runIDs parses args with the shared flags plus groups and runs the IDs
+// at the single -seed the command takes.
+func runIDs(cmd string, ids, args []string, groups ...flagGroup) error {
+	cfg, err := parseFlags(args, groups...)
+	if err != nil {
+		return err
+	}
+	if cfg.seedsSet {
+		return fmt.Errorf("%s: -seeds only applies to sweep (use -seed)", cmd)
+	}
+	return execute(ids, cfg)
+}
+
+// parseFlags parses the shared flag set plus each group's knobs, then
+// runs the groups' validation steps in order.
+func parseFlags(args []string, groups ...flagGroup) (config, error) {
 	fs := flag.NewFlagSet("edgereasoning", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 7, "random seed")
 	quick := fs.Bool("quick", false, "subsample large banks")
@@ -229,58 +191,9 @@ func parseFlags(args []string, withFleet, withSessions, withAutoscale, withSatur
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
 	seeds := fs.String("seeds", "", "comma-separated seeds for sweep (default 1..8)")
-	var replicas *int
-	var devices, policy *string
-	var qps *float64
-	if withFleet {
-		replicas = fs.Int("replicas", 0, "fleet size (0 = driver default of 4)")
-		devices = fs.String("devices", "", "comma-separated device cycle (default orin,orin-50w,orin-30w)")
-		policy = fs.String("policy", "all", "routing policy (round-robin, least-queue, latency-weighted, deadline-aware, all)")
-		qps = fs.Float64("qps", 0, "offered load in requests/s (0 = driver default)")
-	}
-	var sessionCount, sessionTurns, sessionBranch *int
-	var sessionPolicy *string
-	if withSessions || withTiering {
-		sessionCount = fs.Int("sessions", 0, "concurrent sessions (0 = driver default of 10)")
-		sessionTurns = fs.Int("turns", 0, "agent-loop turns per session (0 = driver default of 5)")
-		sessionBranch = fs.Int("branch", 0, "parallel think samples at branch turns (0 = driver default of 2)")
-	}
-	if withSessions {
-		sessionPolicy = fs.String("policy", "all", "affinity-table routing policy (round-robin, least-queue, session-affinity, all)")
-	}
-	var tierDeviceBlocks *string
-	var tierHostBlocks *int
-	var tierBW *float64
-	if withTiering {
-		tierDeviceBlocks = fs.String("device-blocks", "", "comma-separated device-cache sweep in blocks (default S,2S,4S with S = max(192, largest request))")
-		tierHostBlocks = fs.Int("host-blocks", 0, "host-tier capacity in blocks (0 = driver default of 1024)")
-		tierBW = fs.Float64("bw", 0, "host-link bandwidth in bytes/s (0 = driver default of 16e9)")
-	}
-	var drillReplicas *int
-	var drillRestart *float64
-	if withDrills {
-		drillReplicas = fs.Int("replicas", 0, "pool size under fault injection (0 = driver default of 3)")
-		drillRestart = fs.Float64("restart", 0, "crash restart delay in seconds (0 = driver default of 5)")
-		devices = fs.String("devices", "", "comma-separated device cycle (default orin,orin-50w,orin-30w)")
-	}
-	var satSLO *float64
-	var satMetric *string
-	var satRequests *int
-	if withSaturate {
-		satSLO = fs.Float64("slo", 0, "objective: p99 bound in seconds or hit-rate floor in [0,1] (0 = metric default)")
-		satMetric = fs.String("metric", "", "saturation metric: p99 | hitrate (default p99)")
-		satRequests = fs.Int("requests", 0, "requests offered per probe (0 = driver default of 240)")
-		devices = fs.String("devices", "", "comma-separated device cycle (default orin,orin-50w,orin-30w)")
-	}
-	var autoMin, autoMax *int
-	var autoAdmission, autoScaleOn *string
-	if withAutoscale {
-		autoMin = fs.Int("min", 0, "autoscale pool floor (0 = driver default of 1)")
-		autoMax = fs.Int("max", 0, "autoscale pool ceiling (0 = driver default of 6)")
-		autoAdmission = fs.String("admission", "", "ingress discipline (fifo, edf, sjf, shed; default fifo)")
-		autoScaleOn = fs.String("scale-on", "", "scale-up signals (depth, miss, both; default both)")
-		devices = fs.String("devices", "", "comma-separated device cycle (default orin,orin-50w,orin-30w)")
-		qps = fs.Float64("qps", 0, "background load in requests/s (0 = driver default of 0.2; the spike is 100x)")
+	applies := make([]func(*experiments.Options) error, len(groups))
+	for i, g := range groups {
+		applies[i] = g(fs)
 	}
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
@@ -297,115 +210,10 @@ func parseFlags(args []string, withFleet, withSessions, withAutoscale, withSatur
 		cpuProfile: *cpuProfile,
 		memProfile: *memProfile,
 	}
-	if withFleet {
-		// Validate the policy spelling here so a typo fails before the
-		// fleet spins up its engines.
-		if *policy != "" && *policy != "all" {
-			if _, err := fleet.ParsePolicy(*policy); err != nil {
-				return config{}, err
-			}
-		}
-		if _, err := fleet.ParseDevices(*devices); err != nil {
+	for _, apply := range applies {
+		if err := apply(&cfg.opts); err != nil {
 			return config{}, err
 		}
-		cfg.opts.FleetReplicas = *replicas
-		cfg.opts.FleetDevices = *devices
-		cfg.opts.FleetPolicy = *policy
-		cfg.opts.FleetQPS = *qps
-	}
-	if withSessions || withTiering {
-		if *sessionCount < 0 || *sessionTurns < 0 || *sessionBranch < 0 {
-			return config{}, fmt.Errorf("-sessions, -turns, and -branch must be non-negative")
-		}
-		cfg.opts.SessionCount = *sessionCount
-		cfg.opts.SessionTurns = *sessionTurns
-		cfg.opts.SessionBranch = *sessionBranch
-	}
-	if withSessions {
-		if *sessionPolicy != "" && *sessionPolicy != "all" {
-			if _, err := fleet.ParsePolicy(*sessionPolicy); err != nil {
-				return config{}, err
-			}
-		}
-		cfg.opts.SessionPolicy = *sessionPolicy
-	}
-	if withTiering {
-		// Validate the sweep spelling here so a typo fails before any
-		// engine spins up.
-		if _, err := experiments.ParseDeviceBlocks(*tierDeviceBlocks); err != nil {
-			return config{}, err
-		}
-		if *tierHostBlocks < 0 {
-			return config{}, fmt.Errorf("tiering: -host-blocks must be non-negative")
-		}
-		if *tierBW < 0 {
-			return config{}, fmt.Errorf("tiering: -bw must be non-negative")
-		}
-		cfg.opts.TierDeviceBlocks = *tierDeviceBlocks
-		cfg.opts.TierHostBlocks = *tierHostBlocks
-		cfg.opts.TierLinkBW = *tierBW
-	}
-	if withSaturate {
-		if *satMetric != "" && *satMetric != "p99" && *satMetric != "hitrate" {
-			return config{}, fmt.Errorf("saturate: unknown -metric %q (want p99 or hitrate)", *satMetric)
-		}
-		if *satSLO < 0 {
-			return config{}, fmt.Errorf("saturate: -slo must be non-negative")
-		}
-		if *satMetric == "hitrate" && *satSLO > 1 {
-			return config{}, fmt.Errorf("saturate: hitrate -slo is a fraction in [0,1], got %g", *satSLO)
-		}
-		if *satRequests < 0 {
-			return config{}, fmt.Errorf("saturate: -requests must be non-negative")
-		}
-		if _, err := fleet.ParseDevices(*devices); err != nil {
-			return config{}, err
-		}
-		cfg.opts.SatSLO = *satSLO
-		cfg.opts.SatMetric = *satMetric
-		cfg.opts.SatRequests = *satRequests
-		cfg.opts.FleetDevices = *devices
-	}
-	if withDrills {
-		if *drillReplicas < 0 {
-			return config{}, fmt.Errorf("drills: -replicas must be non-negative")
-		}
-		if *drillRestart < 0 {
-			return config{}, fmt.Errorf("drills: -restart must be non-negative")
-		}
-		if _, err := fleet.ParseDevices(*devices); err != nil {
-			return config{}, err
-		}
-		cfg.opts.DrillReplicas = *drillReplicas
-		cfg.opts.DrillRestart = *drillRestart
-		cfg.opts.FleetDevices = *devices
-	}
-	if withAutoscale {
-		// Validate the spellings here so a typo fails before the fleet
-		// spins up its engines.
-		if *autoAdmission != "" {
-			if _, err := fleet.ParseAdmission(*autoAdmission); err != nil {
-				return config{}, err
-			}
-		}
-		if _, err := fleet.ParseScaleSignal(*autoScaleOn); err != nil {
-			return config{}, err
-		}
-		if _, err := fleet.ParseDevices(*devices); err != nil {
-			return config{}, err
-		}
-		if *autoMin < 0 || *autoMax < 0 {
-			return config{}, fmt.Errorf("autoscale: -min and -max must be non-negative")
-		}
-		if *autoMax > 0 && *autoMax < *autoMin {
-			return config{}, fmt.Errorf("autoscale: -max %d below -min %d", *autoMax, *autoMin)
-		}
-		cfg.opts.AutoMin = *autoMin
-		cfg.opts.AutoMax = *autoMax
-		cfg.opts.AutoAdmission = *autoAdmission
-		cfg.opts.AutoScaleOn = *autoScaleOn
-		cfg.opts.FleetDevices = *devices
-		cfg.opts.FleetQPS = *qps
 	}
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
@@ -423,6 +231,175 @@ func parseFlags(args []string, withFleet, withSessions, withAutoscale, withSatur
 		return config{}, err
 	}
 	return cfg, nil
+}
+
+// devicesFlag registers the device-cycle flag shared by the fleet-shaped
+// subcommands.
+func devicesFlag(fs *flag.FlagSet) *string {
+	return fs.String("devices", "", "comma-separated device cycle (default orin,orin-50w,orin-30w)")
+}
+
+func fleetFlags(fs *flag.FlagSet) func(*experiments.Options) error {
+	replicas := fs.Int("replicas", 0, "fleet size (0 = driver default of 4)")
+	devices := devicesFlag(fs)
+	policy := fs.String("policy", "all", "routing policy (round-robin, least-queue, latency-weighted, deadline-aware, all)")
+	qps := fs.Float64("qps", 0, "offered load in requests/s (0 = driver default)")
+	return func(opts *experiments.Options) error {
+		// Validate the policy spelling here so a typo fails before the
+		// fleet spins up its engines.
+		if *policy != "" && *policy != "all" {
+			if _, err := fleet.ParsePolicy(*policy); err != nil {
+				return err
+			}
+		}
+		if _, err := fleet.ParseDevices(*devices); err != nil {
+			return err
+		}
+		opts.FleetReplicas = *replicas
+		opts.FleetDevices = *devices
+		opts.FleetPolicy = *policy
+		opts.FleetQPS = *qps
+		return nil
+	}
+}
+
+// sessionShapeFlags sizes the agent-loop workload (sessions and tiering).
+func sessionShapeFlags(fs *flag.FlagSet) func(*experiments.Options) error {
+	count := fs.Int("sessions", 0, "concurrent sessions (0 = driver default of 10)")
+	turns := fs.Int("turns", 0, "agent-loop turns per session (0 = driver default of 5)")
+	branch := fs.Int("branch", 0, "parallel think samples at branch turns (0 = driver default of 2)")
+	return func(opts *experiments.Options) error {
+		if *count < 0 || *turns < 0 || *branch < 0 {
+			return fmt.Errorf("-sessions, -turns, and -branch must be non-negative")
+		}
+		opts.SessionCount = *count
+		opts.SessionTurns = *turns
+		opts.SessionBranch = *branch
+		return nil
+	}
+}
+
+func sessionPolicyFlag(fs *flag.FlagSet) func(*experiments.Options) error {
+	policy := fs.String("policy", "all", "affinity-table routing policy (round-robin, least-queue, session-affinity, all)")
+	return func(opts *experiments.Options) error {
+		if *policy != "" && *policy != "all" {
+			if _, err := fleet.ParsePolicy(*policy); err != nil {
+				return err
+			}
+		}
+		opts.SessionPolicy = *policy
+		return nil
+	}
+}
+
+func tieringFlags(fs *flag.FlagSet) func(*experiments.Options) error {
+	deviceBlocks := fs.String("device-blocks", "", "comma-separated device-cache sweep in blocks (default S,2S,4S with S = max(192, largest request))")
+	hostBlocks := fs.Int("host-blocks", 0, "host-tier capacity in blocks (0 = driver default of 1024)")
+	bw := fs.Float64("bw", 0, "host-link bandwidth in bytes/s (0 = driver default of 16e9)")
+	return func(opts *experiments.Options) error {
+		// Validate the sweep spelling here so a typo fails before any
+		// engine spins up.
+		if _, err := experiments.ParseDeviceBlocks(*deviceBlocks); err != nil {
+			return err
+		}
+		if *hostBlocks < 0 {
+			return fmt.Errorf("tiering: -host-blocks must be non-negative")
+		}
+		if *bw < 0 {
+			return fmt.Errorf("tiering: -bw must be non-negative")
+		}
+		opts.TierDeviceBlocks = *deviceBlocks
+		opts.TierHostBlocks = *hostBlocks
+		opts.TierLinkBW = *bw
+		return nil
+	}
+}
+
+func saturateFlags(fs *flag.FlagSet) func(*experiments.Options) error {
+	slo := fs.Float64("slo", 0, "objective: p99 bound in seconds or hit-rate floor in [0,1] (0 = metric default)")
+	metric := fs.String("metric", "", "saturation metric: p99 | hitrate (default p99)")
+	requests := fs.Int("requests", 0, "requests offered per probe (0 = driver default of 240)")
+	devices := devicesFlag(fs)
+	return func(opts *experiments.Options) error {
+		if *metric != "" && *metric != "p99" && *metric != "hitrate" {
+			return fmt.Errorf("saturate: unknown -metric %q (want p99 or hitrate)", *metric)
+		}
+		if *slo < 0 {
+			return fmt.Errorf("saturate: -slo must be non-negative")
+		}
+		if *metric == "hitrate" && *slo > 1 {
+			return fmt.Errorf("saturate: hitrate -slo is a fraction in [0,1], got %g", *slo)
+		}
+		if *requests < 0 {
+			return fmt.Errorf("saturate: -requests must be non-negative")
+		}
+		if _, err := fleet.ParseDevices(*devices); err != nil {
+			return err
+		}
+		opts.SatSLO = *slo
+		opts.SatMetric = *metric
+		opts.SatRequests = *requests
+		opts.FleetDevices = *devices
+		return nil
+	}
+}
+
+func drillFlags(fs *flag.FlagSet) func(*experiments.Options) error {
+	replicas := fs.Int("replicas", 0, "pool size under fault injection (0 = driver default of 3)")
+	restart := fs.Float64("restart", 0, "crash restart delay in seconds (0 = driver default of 5)")
+	devices := devicesFlag(fs)
+	return func(opts *experiments.Options) error {
+		if *replicas < 0 {
+			return fmt.Errorf("drills: -replicas must be non-negative")
+		}
+		if *restart < 0 {
+			return fmt.Errorf("drills: -restart must be non-negative")
+		}
+		if _, err := fleet.ParseDevices(*devices); err != nil {
+			return err
+		}
+		opts.DrillReplicas = *replicas
+		opts.DrillRestart = *restart
+		opts.FleetDevices = *devices
+		return nil
+	}
+}
+
+func autoscaleFlags(fs *flag.FlagSet) func(*experiments.Options) error {
+	minReplicas := fs.Int("min", 0, "autoscale pool floor (0 = driver default of 1)")
+	maxReplicas := fs.Int("max", 0, "autoscale pool ceiling (0 = driver default of 6)")
+	admission := fs.String("admission", "", "ingress discipline (fifo, edf, sjf, shed; default fifo)")
+	scaleOn := fs.String("scale-on", "", "scale-up signals (depth, miss, both; default both)")
+	devices := devicesFlag(fs)
+	qps := fs.Float64("qps", 0, "background load in requests/s (0 = driver default of 0.2; the spike is 100x)")
+	return func(opts *experiments.Options) error {
+		// Validate the spellings here so a typo fails before the fleet
+		// spins up its engines.
+		if *admission != "" {
+			if _, err := fleet.ParseAdmission(*admission); err != nil {
+				return err
+			}
+		}
+		if _, err := fleet.ParseScaleSignal(*scaleOn); err != nil {
+			return err
+		}
+		if _, err := fleet.ParseDevices(*devices); err != nil {
+			return err
+		}
+		if *minReplicas < 0 || *maxReplicas < 0 {
+			return fmt.Errorf("autoscale: -min and -max must be non-negative")
+		}
+		if *maxReplicas > 0 && *maxReplicas < *minReplicas {
+			return fmt.Errorf("autoscale: -max %d below -min %d", *maxReplicas, *minReplicas)
+		}
+		opts.AutoMin = *minReplicas
+		opts.AutoMax = *maxReplicas
+		opts.AutoAdmission = *admission
+		opts.AutoScaleOn = *scaleOn
+		opts.FleetDevices = *devices
+		opts.FleetQPS = *qps
+		return nil
+	}
 }
 
 func parseSeeds(list string) ([]uint64, error) {

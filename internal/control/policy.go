@@ -134,14 +134,3 @@ func ParseKey(s string) (Policy, error) {
 	}
 	return Policy{}, fmt.Errorf("control: cannot parse policy key %q", s)
 }
-
-// PaperSweep returns the configurations Figs 6–8 evaluate on reasoning
-// models: Base, 128/256 soft, 128/256 hard, NR.
-func PaperSweep() []Policy {
-	return []Policy{
-		BasePolicy(),
-		SoftLimit(128), SoftLimit(256),
-		HardLimit(128), HardLimit(256),
-		NoReasoning(),
-	}
-}

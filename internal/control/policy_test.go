@@ -61,25 +61,9 @@ func TestValidate(t *testing.T) {
 	if err := (Policy{Kind: Base, Budget: 7}).Validate(); err == nil {
 		t.Error("base with budget must fail")
 	}
-	for _, p := range PaperSweep() {
+	for _, p := range []Policy{BasePolicy(), SoftLimit(128), SoftLimit(256), HardLimit(128), HardLimit(256), NoReasoning()} {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s: %v", p.Key(), err)
-		}
-	}
-}
-
-func TestPaperSweepContents(t *testing.T) {
-	sweep := PaperSweep()
-	if len(sweep) != 6 {
-		t.Fatalf("sweep has %d entries, want 6", len(sweep))
-	}
-	seen := map[string]bool{}
-	for _, p := range sweep {
-		seen[p.Key()] = true
-	}
-	for _, want := range []string{"base", "soft-128", "soft-256", "hard-128", "hard-256", "nr"} {
-		if !seen[want] {
-			t.Errorf("sweep missing %q", want)
 		}
 	}
 }

@@ -31,15 +31,6 @@ func ParetoFrontier(cands []Candidate) []Candidate {
 	return front
 }
 
-// Dominates reports whether a dominates b: no worse on both axes and
-// strictly better on at least one.
-func Dominates(a, b Candidate) bool {
-	if a.Latency > b.Latency || a.Accuracy < b.Accuracy {
-		return false
-	}
-	return a.Latency < b.Latency || a.Accuracy > b.Accuracy
-}
-
 // Regime is one operating band of the latency axis and the recipe that
 // rules it (§V-A identifies three: sub-5s → 1.5B models, 15–30s →
 // non-reasoning 8B, >30s → DSR1-Qwen-14B).

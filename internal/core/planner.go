@@ -258,15 +258,3 @@ func (p *Planner) PlanWithEnergy(latencyBudget, energyBudget float64) (Candidate
 	}
 	return PickWithinBudgets(cands, latencyBudget, energyBudget)
 }
-
-// MaxTokensWithin exposes the latency-model inversion for a spec: the
-// hard token budget that meets a latency target at this benchmark's mean
-// prompt length. Combined with a budget-aware model like L1 this is
-// Takeaway #6's deployment recipe.
-func (p *Planner) MaxTokensWithin(spec model.Spec, latencyBudget float64) (int, error) {
-	lm, err := p.latencyModel(spec)
-	if err != nil {
-		return 0, err
-	}
-	return lm.MaxTokensWithin(p.bank.MeanPromptTokens(), latencyBudget), nil
-}

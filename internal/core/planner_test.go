@@ -170,14 +170,12 @@ func TestPlanWithEnergyBudget(t *testing.T) {
 func TestMaxTokensWithinPlanner(t *testing.T) {
 	p := newTestPlanner(t)
 	spec := model.MustLookup(model.DSR1Qwen14B)
-	n20, err := p.MaxTokensWithin(spec, 20)
+	lm, err := p.latencyModel(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n60, err := p.MaxTokensWithin(spec, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prompt := p.bank.MeanPromptTokens()
+	n20, n60 := lm.MaxTokensWithin(prompt, 20), lm.MaxTokensWithin(prompt, 60)
 	if n20 <= 0 || n60 <= n20 {
 		t.Errorf("token budgets not increasing: %d @20s, %d @60s", n20, n60)
 	}
@@ -202,22 +200,20 @@ func TestParetoFrontierProperties(t *testing.T) {
 	// No frontier member is dominated by any candidate.
 	for _, f := range front {
 		for _, c := range cands {
-			if Dominates(c, f) {
+			if dominates(c, f) {
 				t.Errorf("frontier member %s dominated by %s", f.Label(), c.Label())
 			}
 		}
 	}
 }
 
-func TestDominates(t *testing.T) {
-	a := Candidate{Latency: 1, Accuracy: 0.5}
-	b := Candidate{Latency: 2, Accuracy: 0.4}
-	if !Dominates(a, b) || Dominates(b, a) {
-		t.Error("dominance wrong")
+// dominates reports whether a dominates b: no worse on both axes and
+// strictly better on at least one.
+func dominates(a, b Candidate) bool {
+	if a.Latency > b.Latency || a.Accuracy < b.Accuracy {
+		return false
 	}
-	if Dominates(a, a) {
-		t.Error("a candidate must not dominate itself")
-	}
+	return a.Latency < b.Latency || a.Accuracy > b.Accuracy
 }
 
 func TestRegimesOf(t *testing.T) {

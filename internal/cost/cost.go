@@ -91,8 +91,3 @@ func PaperCloudPrices() []CloudPrice {
 		{Name: "openai-o4-mini", InputPerMillion: 1.1, OutputPerMillion: 4.4},
 	}
 }
-
-// CloudCost prices a workload against a cloud API.
-func CloudCost(p CloudPrice, inputTokens, outputTokens int) float64 {
-	return float64(inputTokens)/1e6*p.InputPerMillion + float64(outputTokens)/1e6*p.OutputPerMillion
-}

@@ -42,14 +42,6 @@ func TestEdgeVsCloudGap(t *testing.T) {
 	}
 }
 
-func TestCloudCost(t *testing.T) {
-	p := CloudPrice{InputPerMillion: 15, OutputPerMillion: 60}
-	got := CloudCost(p, 1_000_000, 500_000)
-	if math.Abs(got-45) > 1e-9 {
-		t.Errorf("cloud cost = %v, want 45", got)
-	}
-}
-
 func TestZeroTokens(t *testing.T) {
 	b := Bill(PaperRates(), 1000, 10, 0)
 	if b.PerMillionTokens() != 0 || b.EnergyPerMillionTokens() != 0 || b.HardwarePerMillionTokens() != 0 {

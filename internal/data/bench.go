@@ -163,8 +163,3 @@ func (b *Bank) Subsample(n int) *Bank {
 	}
 	return &Bank{Benchmark: b.Benchmark, Questions: b.Questions[:n]}
 }
-
-// All lists every benchmark.
-func All() []Benchmark {
-	return []Benchmark{MMLURedux, MMLU, NaturalPlanCalendar, NaturalPlanMeeting, NaturalPlanTrip, AIME2024, Math500}
-}

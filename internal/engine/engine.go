@@ -32,9 +32,6 @@ type Overhead struct {
 	PerStepHost   float64 // seconds of host work added per decode step
 }
 
-// VLLM is the baseline framework profile (the paper's engine).
-func VLLM() Overhead { return Overhead{Name: "vLLM", PrefillFactor: 1, StepFactor: 1} }
-
 // normalized returns the profile with zero fields defaulted to identity.
 func (o Overhead) normalized() Overhead {
 	if o.PrefillFactor == 0 {
@@ -55,9 +52,6 @@ type Config struct {
 	Device *hw.Device
 	// BlockSize is the KV page size in tokens (default 16).
 	BlockSize int
-	// MemReserve is the fraction of DRAM withheld from the KV cache for
-	// activations and runtime overheads (default 0.10).
-	MemReserve float64
 	// Framework is the host-side overhead profile (default vLLM).
 	Framework Overhead
 	// PrefixCache attaches a cross-request prefix index to the KV cache:
@@ -120,23 +114,8 @@ type Metrics struct {
 // decode).
 func (m Metrics) TotalTime() float64 { return m.RestoreTime + m.PrefillTime + m.DecodeTime }
 
-// TTFT is the time from admission to the first generated token:
-// host-tier restore plus prefill.
-func (m Metrics) TTFT() float64 { return m.RestoreTime + m.PrefillTime }
-
-// Latency includes queueing.
-func (m Metrics) Latency() float64 { return m.QueueTime + m.TotalTime() }
-
 // Energy is the request's total energy in joules.
 func (m Metrics) Energy() float64 { return m.PrefillEnergy + m.DecodeEnergy }
-
-// TPS is the output tokens per second of service time.
-func (m Metrics) TPS() float64 {
-	if t := m.TotalTime(); t > 0 {
-		return float64(m.OutputTokens) / t
-	}
-	return 0
-}
 
 // BatchMetrics reports a whole workload run.
 type BatchMetrics struct {
@@ -209,9 +188,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.BlockSize <= 0 {
 		cfg.BlockSize = 16
 	}
-	if cfg.MemReserve <= 0 {
-		cfg.MemReserve = 0.10
-	}
 	cfg.Framework = cfg.Framework.normalized()
 	if cfg.HostTierBlocks > 0 && !cfg.PrefixCache {
 		return nil, fmt.Errorf("engine: HostTierBlocks requires PrefixCache (the tier holds prefix entries)")
@@ -230,13 +206,16 @@ func New(cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// buildCache sizes the KV cache from leftover DRAM (capped by
-// DeviceBlocks when set) and attaches the prefix index and host tier
-// per cfg. New and Reset share it so a reset engine is sized exactly
-// like a fresh one.
+// memReserve is the fraction of DRAM withheld from the KV cache for
+// activations and runtime overheads.
+const memReserve = 0.10
+
+// buildCache sizes the KV cache from the DRAM left after weights and
+// memReserve (capped by DeviceBlocks when set) and attaches the prefix
+// index and host tier per cfg.
 func buildCache(cfg Config) (*kvcache.Cache, *kvcache.PrefixIndex, error) {
 	weights := cfg.Spec.Arch.WeightBytes(cfg.Spec.DType)
-	reserve := int64(float64(cfg.Device.MemCapacity) * cfg.MemReserve)
+	reserve := int64(float64(cfg.Device.MemCapacity) * memReserve)
 	kvBudget := cfg.Device.MemCapacity - weights - reserve
 	if kvBudget <= 0 {
 		return nil, nil, fmt.Errorf("engine: %s (%0.1f GB weights) does not fit %s",
@@ -268,18 +247,6 @@ func buildCache(cfg Config) (*kvcache.Cache, *kvcache.PrefixIndex, error) {
 
 // Clock returns the simulated time in seconds.
 func (e *Engine) Clock() float64 { return e.clock }
-
-// Reset rewinds the clock and empties the cache.
-func (e *Engine) Reset() error {
-	cache, prefix, err := buildCache(e.cfg)
-	if err != nil {
-		return err
-	}
-	e.cache = cache
-	e.prefix = prefix
-	e.clock = 0
-	return nil
-}
 
 // prefill runs a prompt through the simulator and charges framework
 // overhead.

@@ -54,7 +54,7 @@ func TestGenerateTPSMatchesPaperOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tps = append(tps, m.TPS())
+		tps = append(tps, float64(m.OutputTokens)/m.TotalTime())
 	}
 	if !(tps[0] > tps[1] && tps[1] > tps[2]) {
 		t.Errorf("TPS ordering wrong: %v", tps)
@@ -173,11 +173,8 @@ func TestFrameworkOverheadSlowsDecode(t *testing.T) {
 func TestMetricsAccessors(t *testing.T) {
 	m := Metrics{PrefillTime: 1, DecodeTime: 9, QueueTime: 2, OutputTokens: 90,
 		PrefillEnergy: 10, DecodeEnergy: 40}
-	if m.TotalTime() != 10 || m.Latency() != 12 || m.Energy() != 50 {
+	if m.TotalTime() != 10 || m.Energy() != 50 {
 		t.Error("metrics arithmetic wrong")
-	}
-	if math.Abs(m.TPS()-9) > 1e-12 {
-		t.Errorf("TPS = %v, want 9", m.TPS())
 	}
 }
 
@@ -296,11 +293,5 @@ func TestEngineClockAdvances(t *testing.T) {
 	c1 := e.Clock()
 	if c1 <= 0 {
 		t.Error("clock must advance")
-	}
-	if err := e.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Clock() != 0 {
-		t.Error("Reset must rewind the clock")
 	}
 }

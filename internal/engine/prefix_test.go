@@ -160,11 +160,4 @@ func TestServePrefixMetricsAccumulate(t *testing.T) {
 	if pm.Lookups != 2 || pm.Hits != 1 || pm.SavedTokens == 0 {
 		t.Fatalf("engine-lifetime prefix metrics wrong: %+v", pm)
 	}
-	// Reset discards the index along with the cache.
-	if err := e.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if pm := e.PrefixMetrics(); pm.Lookups != 0 {
-		t.Fatalf("reset kept prefix metrics: %+v", pm)
-	}
 }

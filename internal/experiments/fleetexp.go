@@ -117,12 +117,6 @@ func fleetSweep(opts Options) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	check := func(ok bool) string {
-		if ok {
-			return "pass"
-		}
-		return "FAIL"
-	}
 	verify := Table{
 		ID:      "fleet-verify",
 		Title:   fmt.Sprintf("Fleet verify: deadline-aware vs round-robin at %d replicas", size),

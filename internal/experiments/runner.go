@@ -62,32 +62,6 @@ type Result struct {
 // TableCount reports how many artifacts the driver produced.
 func (r Result) TableCount() int { return len(r.Tables) }
 
-// SuiteMetrics aggregates per-driver metrics over a set of results.
-type SuiteMetrics struct {
-	Drivers int
-	Errors  int
-	Tables  int
-	// DriverTime is the sum of per-driver wall times — the
-	// sequential-equivalent cost of the suite.
-	DriverTime time.Duration
-}
-
-// Summarize folds results into suite-level metrics. Every non-nil Err
-// counts as an error, including cancellation; callers that distinguish
-// interrupts (as the CLI does) should classify before aggregating.
-func Summarize(results []Result) SuiteMetrics {
-	var m SuiteMetrics
-	for _, r := range results {
-		m.Drivers++
-		if r.Err != nil {
-			m.Errors++
-		}
-		m.Tables += len(r.Tables)
-		m.DriverTime += r.Wall
-	}
-	return m
-}
-
 // job is one unit of pool work: run driver id with opts, deliver at index.
 type job struct {
 	index int
@@ -131,11 +105,6 @@ func StreamSweep(ctx context.Context, id string, seeds []uint64, base Options, c
 	return runPool(ctx, jobs, cfg)
 }
 
-// RunSweep collects StreamSweep into a slice, one Result per seed.
-func RunSweep(ctx context.Context, id string, seeds []uint64, base Options, cfg RunnerOptions) []Result {
-	return collect(StreamSweep(ctx, id, seeds, base, cfg), len(seeds))
-}
-
 func collect(ch <-chan Result, n int) []Result {
 	out := make([]Result, 0, n)
 	for r := range ch {
@@ -144,7 +113,7 @@ func collect(ch <-chan Result, n int) []Result {
 	return out
 }
 
-// runPool is the shared scheduler behind Stream, RunAll and RunSweep.
+// runPool is the shared scheduler behind Stream, RunAll and StreamSweep.
 func runPool(ctx context.Context, jobs []job, cfg RunnerOptions) <-chan Result {
 	type indexed struct {
 		index int

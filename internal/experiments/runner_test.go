@@ -145,9 +145,15 @@ func TestRunAllFailSoft(t *testing.T) {
 			t.Errorf("%s table count = %d, want 1", results[i].ID, results[i].TableCount())
 		}
 	}
-	m := Summarize(results)
-	if m.Drivers != 5 || m.Errors != 3 || m.Tables != 2 {
-		t.Errorf("metrics = %+v, want 5 drivers / 3 errors / 2 tables", m)
+	errs, tables := 0, 0
+	for _, r := range results {
+		if r.Err != nil {
+			errs++
+		}
+		tables += r.TableCount()
+	}
+	if len(results) != 5 || errs != 3 || tables != 2 {
+		t.Errorf("got %d drivers / %d errors / %d tables, want 5 / 3 / 2", len(results), errs, tables)
 	}
 }
 
@@ -272,6 +278,8 @@ func TestPerDriverTimeout(t *testing.T) {
 	}
 }
 
+// TestRunSweep runs one driver across seeds through StreamSweep and
+// checks seed order and option threading.
 func TestRunSweep(t *testing.T) {
 	drivers := map[string]Driver{
 		"sweepme": func(o Options) ([]Table, error) {
@@ -283,7 +291,7 @@ func TestRunSweep(t *testing.T) {
 	}
 	seeds := []uint64{11, 22, 33, 44}
 	cfg := RunnerOptions{Parallelism: 4, lookup: fakeRegistry(drivers)}
-	results := RunSweep(context.Background(), "sweepme", seeds, Options{Quick: true}, cfg)
+	results := collect(StreamSweep(context.Background(), "sweepme", seeds, Options{Quick: true}, cfg), len(seeds))
 	if len(results) != len(seeds) {
 		t.Fatalf("got %d results, want %d", len(results), len(seeds))
 	}
@@ -304,7 +312,7 @@ func TestRunSweep(t *testing.T) {
 // seeds and checks the sweep machinery against the registry end to end.
 func TestSweepStochasticDriverVariance(t *testing.T) {
 	seeds := []uint64{1, 2, 3}
-	results := RunSweep(context.Background(), "table2", seeds, Options{Quick: true}, RunnerOptions{})
+	results := collect(StreamSweep(context.Background(), "table2", seeds, Options{Quick: true}, RunnerOptions{}), len(seeds))
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("seed %d: %v", seeds[i], r.Err)
@@ -318,7 +326,7 @@ func TestSweepStochasticDriverVariance(t *testing.T) {
 	}
 	// Same seed must reproduce exactly; that is what makes the sweep a
 	// variance estimator rather than noise.
-	again := RunSweep(context.Background(), "table2", seeds[:1], Options{Quick: true}, RunnerOptions{})
+	again := collect(StreamSweep(context.Background(), "table2", seeds[:1], Options{Quick: true}, RunnerOptions{}), 1)
 	var a, b bytes.Buffer
 	if err := results[0].Tables[0].Render(&a); err != nil {
 		t.Fatal(err)

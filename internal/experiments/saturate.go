@@ -118,12 +118,6 @@ func saturateStudy(opts Options) ([]Table, error) {
 		knees.AddRow(di(replicas), f2(k.QPS), v, f2(k.ViolatedQPS), di(len(k.Probes)))
 	}
 
-	check := func(ok bool) string {
-		if ok {
-			return "pass"
-		}
-		return "FAIL"
-	}
 	verify := Table{
 		ID:      "saturate-verify",
 		Title:   "Saturate verify: knee scaling, bracket tightness, and analyzer edge behavior",

@@ -186,23 +186,8 @@ func (r *replica) liveAt(t float64) bool {
 	if r.retired {
 		return false
 	}
-	if r.cfg.FailAt > 0 {
-		if t >= r.cfg.FailAt {
-			return false
-		}
-		if r.cfg.WarmupDelay >= r.cfg.FailAt {
-			return false
-		}
-	}
-	if r.tl != nil && !math.IsInf(r.tl.deadAt, 1) {
-		if t >= r.tl.deadAt {
-			return false
-		}
-		if r.cfg.WarmupDelay >= r.tl.deadAt {
-			return false
-		}
-	}
-	return true
+	gone := r.goneAt()
+	return math.IsInf(gone, 1) || (t < gone && r.cfg.WarmupDelay < gone)
 }
 
 func (ro *router) liveCount(t float64) int {

@@ -335,6 +335,20 @@ func (r *replica) speed() float64 {
 	return 0
 }
 
+// goneAt is the instant from which the replica is gone for good: the
+// earlier of FailAt (when positive) and its first no-restart crash, or
+// +Inf when neither applies.
+func (r *replica) goneAt() float64 {
+	gone := math.Inf(1)
+	if r.cfg.FailAt > 0 {
+		gone = r.cfg.FailAt
+	}
+	if r.tl != nil && r.tl.deadAt < gone {
+		gone = r.tl.deadAt
+	}
+	return gone
+}
+
 // routableAt reports whether the router may hand the replica a request
 // at time t — whether t itself is the earliest instant availAt allows;
 // capacity is checked separately.
@@ -353,20 +367,14 @@ func (r *replica) routableAt(t float64) bool {
 // freeze. The engine's state (capacity, an outstanding breaker probe) is
 // not considered.
 func (r *replica) availAt(t float64) (float64, bool) {
+	gone := r.goneAt()
 	for {
 		switch {
-		case r.retired:
-			return 0, true
-		case r.cfg.FailAt > 0 && t >= r.cfg.FailAt:
-			return 0, true
-		case r.tl != nil && t >= r.tl.deadAt:
+		case r.retired, t >= gone:
 			return 0, true
 		case t < r.cfg.WarmupDelay:
-			if r.cfg.FailAt > 0 && r.cfg.WarmupDelay >= r.cfg.FailAt {
+			if r.cfg.WarmupDelay >= gone {
 				return 0, true // dead at birth
-			}
-			if r.tl != nil && r.cfg.WarmupDelay >= r.tl.deadAt {
-				return 0, true // crash-dead at birth
 			}
 			t = r.cfg.WarmupDelay
 			continue
@@ -727,18 +735,10 @@ func foldAutoscale(out *Metrics, ro *router, as *autoscaler) {
 		}
 	}
 	for i, r := range ro.replicas {
-		end := out.WallTime
-		switch {
-		case r.retired:
+		// A failure or permanent crash ends the replica's bill.
+		end := math.Min(out.WallTime, r.goneAt())
+		if r.retired {
 			end = r.retiredAt
-		default:
-			if r.cfg.FailAt > 0 && r.cfg.FailAt < end {
-				end = r.cfg.FailAt
-			}
-			// A permanent crash ends the replica's bill like a failure.
-			if r.tl != nil && r.tl.deadAt < end {
-				end = r.tl.deadAt
-			}
 		}
 		if end < r.provisionedAt {
 			end = r.provisionedAt

@@ -33,21 +33,6 @@ type Result struct {
 	Tokens      int // tokens processed (prompt tokens or generated tokens)
 }
 
-// merge accumulates r2 into r, time-weighting the utilization signals.
-func (r *Result) merge(r2 Result) {
-	total := r.Time + r2.Time
-	if total > 0 {
-		r.ComputeUtil = (r.ComputeUtil*r.Time + r2.ComputeUtil*r2.Time) / total
-		r.BWUtil = (r.BWUtil*r.Time + r2.BWUtil*r2.Time) / total
-		r.Occupancy = (r.Occupancy*r.Time + r2.Occupancy*r2.Time) / total
-	}
-	r.Time = total
-	r.FLOPs += r2.FLOPs
-	r.Bytes += r2.Bytes
-	r.Kernels += r2.Kernels
-	r.Tokens += r2.Tokens
-}
-
 // Sim times transformer phases on a device.
 type Sim struct {
 	Device *hw.Device

@@ -253,18 +253,3 @@ func TestKernelKindString(t *testing.T) {
 		t.Error("KernelKind String wrong")
 	}
 }
-
-func TestMergeWeightsUtilByTime(t *testing.T) {
-	r1 := Result{Time: 1, BWUtil: 0.2, ComputeUtil: 0.4, Occupancy: 1}
-	r2 := Result{Time: 3, BWUtil: 0.6, ComputeUtil: 0.0, Occupancy: 0.5}
-	r1.merge(r2)
-	if !withinFrac(r1.BWUtil, 0.5, 1e-9) {
-		t.Errorf("merged BWUtil = %v, want 0.5", r1.BWUtil)
-	}
-	if !withinFrac(r1.ComputeUtil, 0.1, 1e-9) {
-		t.Errorf("merged ComputeUtil = %v, want 0.1", r1.ComputeUtil)
-	}
-	if r1.Time != 4 {
-		t.Errorf("merged Time = %v, want 4", r1.Time)
-	}
-}

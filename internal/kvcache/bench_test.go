@@ -15,29 +15,33 @@ func newBenchCache(b *testing.B) *Cache {
 	// One untimed warm-up lifecycle: the sequence shell and its block
 	// table land in the recycling pool, so timed iterations measure the
 	// steady state even at -benchtime=1x (the CI smoke setting).
-	if err := c.Allocate("s", 1); err != nil {
+	if err := c.AllocateReserve("s", 1, 1); err != nil {
 		b.Fatal(err)
 	}
-	if err := c.AppendTokens("s", benchTokensPerOp); err != nil {
+	h, err := c.Lookup("s")
+	if err != nil {
 		b.Fatal(err)
 	}
-	if err := c.Free("s"); err != nil {
+	if err := c.AppendTokensH(h, benchTokensPerOp); err != nil {
+		b.Fatal(err)
+	}
+	if err := c.FreeH(h); err != nil {
 		b.Fatal(err)
 	}
 	return c
 }
 
 // BenchmarkKVAppend measures the same lifecycle as BenchmarkKVAppendToken
-// through the bulk handle path the engine uses: one Lookup, one chunked
-// AppendTokensH per decode event (the engine's admission grain is 16–32
-// steps), one FreeH. Tracked in BENCH_serve.json by scripts/bench.sh.
+// with the engine's grain: one chunked AppendTokensH per decode event (the
+// engine's admission grain is 16–32 steps). Tracked in BENCH_serve.json by
+// scripts/bench.sh.
 func BenchmarkKVAppend(b *testing.B) {
 	c := newBenchCache(b)
 	const chunk = 32
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Allocate("s", 1); err != nil {
+		if err := c.AllocateReserve("s", 1, 1); err != nil {
 			b.Fatal(err)
 		}
 		h, err := c.Lookup("s")
@@ -55,23 +59,27 @@ func BenchmarkKVAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkKVAppendToken measures one sequence lifecycle — allocate,
-// append a long reasoning trace one token at a time, free — through the
-// per-token path the engine used before bulk accounting landed.
+// BenchmarkKVAppendToken measures one sequence lifecycle — AllocateReserve,
+// Lookup, append a long reasoning trace one token per AppendTokensH call,
+// FreeH — the per-token cost of the handle path.
 func BenchmarkKVAppendToken(b *testing.B) {
 	c := newBenchCache(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Allocate("s", 1); err != nil {
+		if err := c.AllocateReserve("s", 1, 1); err != nil {
+			b.Fatal(err)
+		}
+		h, err := c.Lookup("s")
+		if err != nil {
 			b.Fatal(err)
 		}
 		for t := 0; t < benchTokensPerOp; t++ {
-			if err := c.AppendToken("s"); err != nil {
+			if err := c.AppendTokensH(h, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if err := c.Free("s"); err != nil {
+		if err := c.FreeH(h); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,12 @@
 // Package kvcache implements a paged key/value cache in the style of
 // vLLM's PagedAttention: fixed-size token blocks, per-sequence block
-// tables, and reference-counted copy-on-write sharing. The engine uses it
-// to account for memory capacity and to share prompt KV across parallel
-// test-time-scaling decoders (§V-E: "the prefill phase is executed once
-// ... during the decode phase we increase the batch size").
+// tables, and reference-counted blocks. The engine uses it to account for
+// memory capacity. Blocks are shared only through the PrefixIndex, which
+// retains full blocks of finished sequences and seeds new sequences with
+// them; a sequence's partial tail block is always its own. The paper's
+// parallel test-time scaling (§V-E: "the prefill phase is executed once
+// ... during the decode phase we increase the batch size") is priced in
+// gpusim as one prefill plus a batched decode, not through this cache.
 package kvcache
 
 import (
@@ -17,7 +20,7 @@ var (
 	ErrOutOfBlocks = errors.New("kvcache: out of blocks")
 	// ErrUnknownSequence means the sequence ID has no allocation.
 	ErrUnknownSequence = errors.New("kvcache: unknown sequence")
-	// ErrSequenceExists means Allocate was called twice for one ID.
+	// ErrSequenceExists means a sequence ID was allocated twice.
 	ErrSequenceExists = errors.New("kvcache: sequence already allocated")
 )
 
@@ -144,9 +147,9 @@ func (c *Cache) grab() (int, error) {
 	return b, nil
 }
 
-// retain adds one reference to an already-allocated block (fork-style
-// sharing: Fork children and retained prefix index entries both go
-// through here so the shared-block counter stays exact).
+// retain adds one reference to an already-allocated block (prefix index
+// entries and the sequences Acquire seeds from them both go through here
+// so the shared-block counter stays exact).
 func (c *Cache) retain(b int) {
 	if c.refcount[b] <= 0 {
 		panic(fmt.Sprintf("kvcache: retain of free block %d", b))
@@ -175,17 +178,12 @@ func (c *Cache) release(b int) {
 	}
 }
 
-// Allocate reserves blocks for a new sequence of the given token length.
+// AllocateReserve reserves blocks for a new sequence of the given token
+// length, with its final length known up front: blocks are grabbed for
+// tokens only, but the block table is sized for reserveTokens so later
+// appends never reallocate it — one table allocation per sequence
+// lifetime, as ReserveH promises, without a grow-then-copy on admission.
 // On failure nothing is allocated.
-func (c *Cache) Allocate(seqID string, tokens int) error {
-	return c.AllocateReserve(seqID, tokens, tokens)
-}
-
-// AllocateReserve is Allocate with the sequence's final token length
-// known up front: blocks are grabbed for tokens only, but the block
-// table is sized for reserveTokens so later appends never reallocate it
-// — one table allocation per sequence lifetime, as ReserveH promises,
-// without a grow-then-copy on admission.
 func (c *Cache) AllocateReserve(seqID string, tokens, reserveTokens int) error {
 	if _, ok := c.seqs[seqID]; ok {
 		return ErrSequenceExists
@@ -234,51 +232,18 @@ func (c *Cache) newSequence(capBlocks int) *sequence {
 	return &sequence{blocks: make([]int, 0, capBlocks)}
 }
 
-// AppendToken extends a sequence by one token, allocating a fresh block at
-// block boundaries and copying a shared tail block (copy-on-write) before
-// writing into it. It is a thin wrapper over the bulk path; callers
-// appending many tokens should use AppendTokens (or a Handle) instead of
-// paying one map lookup per token.
-func (c *Cache) AppendToken(seqID string) error {
-	return c.AppendTokens(seqID, 1)
-}
-
-// AppendTokens extends a sequence by n tokens in one call: one map
-// lookup, one copy-on-write check on the shared tail, and O(new blocks)
-// grabs — the engine's decode loop advances whole chunks this way
-// instead of once per token. n <= 0 is a no-op.
+// appendTokens extends a sequence by n tokens in one call with O(new
+// blocks) grabs — the engine's decode loop advances whole chunks this way
+// instead of once per token. n <= 0 is a no-op. The partial tail block
+// is never shared (CheckInvariants asserts it), so it is written in place.
 //
 // On ErrOutOfBlocks the sequence keeps the partial progress a token-wise
 // loop would have made (the tail and every grabbed block filled), so the
-// call remains exactly equivalent to n consecutive AppendToken calls,
-// error point included.
-func (c *Cache) AppendTokens(seqID string, n int) error {
-	s, ok := c.seqs[seqID]
-	if !ok {
-		return ErrUnknownSequence
-	}
-	return c.appendTokens(s, n)
-}
-
-// appendTokens is the shared bulk core behind AppendToken(s) and
-// AppendTokensH.
+// call remains exactly equivalent to n consecutive one-token calls, error
+// point included.
 func (c *Cache) appendTokens(s *sequence, n int) error {
 	if n <= 0 {
 		return nil
-	}
-	// Writing into a partial tail block: copy it first if shared. Any
-	// block allocated past this point is exclusively owned, so one check
-	// covers the whole extension.
-	if s.length%c.cfg.BlockSize != 0 {
-		tail := s.blocks[len(s.blocks)-1]
-		if c.refcount[tail] > 1 {
-			nb, err := c.grab()
-			if err != nil {
-				return err
-			}
-			c.release(tail)
-			s.blocks[len(s.blocks)-1] = nb
-		}
 	}
 	need := c.blocksFor(s.length+n) - len(s.blocks)
 	if need > c.FreeBlocks() {
@@ -304,18 +269,16 @@ func (c *Cache) appendTokens(s *sequence, n int) error {
 
 // Handle is a resolved reference to a live sequence: the engine looks a
 // sequence up once per lifetime and then appends and frees through the
-// handle without further map traffic. A Handle is invalidated by Free or
-// FreeH; using it afterwards returns ErrUnknownSequence. Handles are only
-// valid on the cache that issued them.
+// handle without further map traffic. A Handle is invalidated by FreeH
+// or PrefixIndex.Release; using it afterwards returns
+// ErrUnknownSequence. Handles are only valid on the cache that issued
+// them.
 type Handle struct {
 	c   *Cache
 	s   *sequence
 	id  string
 	gen int
 }
-
-// ID returns the sequence ID the handle resolves.
-func (h Handle) ID() string { return h.id }
 
 // Lookup resolves a sequence ID to a Handle for the map-free fast path.
 //
@@ -354,8 +317,8 @@ func (c *Cache) ReserveH(h Handle, tokens int) error {
 	return nil
 }
 
-// AppendTokensH is AppendTokens through a resolved Handle: zero map
-// lookups on the decode hot path.
+// AppendTokensH extends the handle's sequence by n tokens (see
+// appendTokens) with zero map lookups on the decode hot path.
 //
 //edgereasoning:hotpath bench=BenchmarkKVAppend
 func (c *Cache) AppendTokensH(h Handle, n int) error {
@@ -363,16 +326,6 @@ func (c *Cache) AppendTokensH(h Handle, n int) error {
 		return ErrUnknownSequence
 	}
 	return c.appendTokens(h.s, n)
-}
-
-// LengthH returns the handle's token count.
-//
-//edgereasoning:hotpath bench=BenchmarkKVAppend
-func (c *Cache) LengthH(h Handle) (int, error) {
-	if !c.valid(h) {
-		return 0, ErrUnknownSequence
-	}
-	return h.s.length, nil
 }
 
 // FreeH releases the handle's sequence and invalidates the handle.
@@ -383,37 +336,6 @@ func (c *Cache) FreeH(h Handle) error {
 		return ErrUnknownSequence
 	}
 	c.freeSeq(h.id, h.s)
-	return nil
-}
-
-// Fork creates childID sharing all of parentID's blocks copy-on-write.
-// This is how parallel test-time scaling reuses one prefill across SF
-// decoders at near-zero memory cost.
-func (c *Cache) Fork(parentID, childID string) error {
-	p, ok := c.seqs[parentID]
-	if !ok {
-		return ErrUnknownSequence
-	}
-	if _, ok := c.seqs[childID]; ok {
-		return ErrSequenceExists
-	}
-	child := c.newSequence(len(p.blocks))
-	child.length = p.length
-	child.blocks = append(child.blocks, p.blocks...)
-	for _, b := range p.blocks {
-		c.retain(b)
-	}
-	c.seqs[childID] = child
-	return nil
-}
-
-// Free releases a sequence's blocks.
-func (c *Cache) Free(seqID string) error {
-	s, ok := c.seqs[seqID]
-	if !ok {
-		return ErrUnknownSequence
-	}
-	c.freeSeq(seqID, s)
 	return nil
 }
 
@@ -433,15 +355,6 @@ func (c *Cache) freeSeq(seqID string, s *sequence) {
 		c.pool = make([]*sequence, 0, 16)
 	}
 	c.pool = append(c.pool, s)
-}
-
-// Length returns a sequence's token count.
-func (c *Cache) Length(seqID string) (int, error) {
-	s, ok := c.seqs[seqID]
-	if !ok {
-		return 0, ErrUnknownSequence
-	}
-	return s.length, nil
 }
 
 // Stats summarizes occupancy.
@@ -515,8 +428,9 @@ func (c *Cache) sharedScan() int {
 // CheckInvariants verifies internal consistency: every block is either on
 // the free list with refcount 0 or referenced by exactly refcount holders
 // (sequences plus any attached prefix index), per-sequence block counts
-// match lengths, and the O(1) shared-block counter agrees with a full
-// scan. Used by property tests.
+// match lengths, a block holding a sequence's partial tail has refcount 1
+// (appendTokens writes it in place), and the O(1) shared-block counter
+// agrees with a full scan. Used by property tests.
 func (c *Cache) CheckInvariants() error {
 	// Only the watermark region has live state; blocks past it were never
 	// grabbed and can hold no references.
@@ -551,6 +465,14 @@ func (c *Cache) CheckInvariants() error {
 			return fmt.Errorf("kvcache: block %d appears twice on the free list", b)
 		}
 		onFree[b] = true
+	}
+	for id, s := range c.seqs {
+		if s.length%c.cfg.BlockSize == 0 {
+			continue
+		}
+		if tail := s.blocks[len(s.blocks)-1]; c.refcount[tail] != 1 {
+			return fmt.Errorf("kvcache: seq %s's partial tail block %d has refcount %d, want 1", id, tail, c.refcount[tail])
+		}
 	}
 	for b := range c.refcount {
 		if refs[b] != c.refcount[b] {

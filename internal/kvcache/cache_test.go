@@ -3,6 +3,7 @@ package kvcache
 import (
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -16,16 +17,37 @@ func newTestCache(t *testing.T, blocks int) *Cache {
 	return c
 }
 
-func TestAllocateAndFree(t *testing.T) {
-	c := newTestCache(t, 64)
-	if err := c.Allocate("a", 100); err != nil {
+// alloc admits id with tokens through the engine's path — AllocateReserve
+// then Lookup — and returns its handle.
+func alloc(t *testing.T, c *Cache, id string, tokens int) Handle {
+	t.Helper()
+	if err := c.AllocateReserve(id, tokens, tokens); err != nil {
 		t.Fatal(err)
 	}
+	h, err := c.Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// freeID releases id through a fresh handle.
+func freeID(c *Cache, id string) error {
+	h, err := c.Lookup(id)
+	if err != nil {
+		return err
+	}
+	return c.FreeH(h)
+}
+
+func TestAllocateAndFree(t *testing.T) {
+	c := newTestCache(t, 64)
+	h := alloc(t, c, "a", 100)
 	st := c.Stats()
 	if st.UsedBlocks != 7 { // ceil(100/16)
 		t.Errorf("used blocks = %d, want 7", st.UsedBlocks)
 	}
-	if err := c.Free("a"); err != nil {
+	if err := c.FreeH(h); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.UsedBlocks != 0 || st.FreeBlocks != 64 {
@@ -38,17 +60,15 @@ func TestAllocateAndFree(t *testing.T) {
 
 func TestAllocateDuplicate(t *testing.T) {
 	c := newTestCache(t, 8)
-	if err := c.Allocate("a", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Allocate("a", 1); err != ErrSequenceExists {
+	alloc(t, c, "a", 1)
+	if err := c.AllocateReserve("a", 1, 1); err != ErrSequenceExists {
 		t.Errorf("got %v, want ErrSequenceExists", err)
 	}
 }
 
 func TestAllocateOutOfBlocks(t *testing.T) {
 	c := newTestCache(t, 4)
-	err := c.Allocate("big", 100) // needs 7 blocks
+	err := c.AllocateReserve("big", 100, 100) // needs 7 blocks
 	if err != ErrOutOfBlocks {
 		t.Fatalf("got %v, want ErrOutOfBlocks", err)
 	}
@@ -60,108 +80,35 @@ func TestAllocateOutOfBlocks(t *testing.T) {
 
 func TestAppendTokenBlockBoundary(t *testing.T) {
 	c := newTestCache(t, 8)
-	if err := c.Allocate("a", 16); err != nil {
-		t.Fatal(err)
-	}
+	h := alloc(t, c, "a", 16)
 	if st := c.Stats(); st.UsedBlocks != 1 {
 		t.Fatalf("want 1 block, got %d", st.UsedBlocks)
 	}
-	if err := c.AppendToken("a"); err != nil { // crosses into block 2
+	if err := c.AppendTokensH(h, 1); err != nil { // crosses into block 2
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.UsedBlocks != 2 {
 		t.Errorf("after boundary append: %d blocks, want 2", st.UsedBlocks)
 	}
-	n, err := c.Length("a")
-	if err != nil || n != 17 {
-		t.Errorf("length = %d/%v, want 17", n, err)
-	}
-}
-
-func TestForkSharesBlocks(t *testing.T) {
-	c := newTestCache(t, 32)
-	if err := c.Allocate("parent", 64); err != nil { // 4 blocks
-		t.Fatal(err)
-	}
-	for i := 0; i < 7; i++ {
-		if err := c.Fork("parent", fmt.Sprintf("child%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.UsedBlocks != 4 {
-		t.Errorf("8-way fork must share all 4 blocks, used = %d", st.UsedBlocks)
-	}
-	if st.SharedBlocks != 4 {
-		t.Errorf("shared blocks = %d, want 4", st.SharedBlocks)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCopyOnWriteOnSharedTail(t *testing.T) {
-	c := newTestCache(t, 32)
-	// 20 tokens: tail block holds 4 tokens (not at boundary).
-	if err := c.Allocate("p", 20); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Fork("p", "c"); err != nil {
-		t.Fatal(err)
-	}
-	before := c.Stats().UsedBlocks // 2 shared blocks
-	if err := c.AppendToken("c"); err != nil {
-		t.Fatal(err)
-	}
-	after := c.Stats().UsedBlocks
-	if after != before+1 {
-		t.Errorf("CoW append must copy the shared tail: %d -> %d blocks", before, after)
-	}
-	// Parent unaffected.
-	if n, _ := c.Length("p"); n != 20 {
-		t.Errorf("parent length changed to %d", n)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestForkThenFreeParent(t *testing.T) {
-	c := newTestCache(t, 32)
-	if err := c.Allocate("p", 48); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Fork("p", "c"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Free("p"); err != nil {
-		t.Fatal(err)
-	}
-	// Child still owns the blocks.
-	if st := c.Stats(); st.UsedBlocks != 3 {
-		t.Errorf("blocks freed under the child: %+v", st)
-	}
-	if err := c.Free("c"); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.UsedBlocks != 0 {
-		t.Errorf("blocks leaked: %+v", st)
+	if n := h.s.length; n != 17 {
+		t.Errorf("length = %d, want 17", n)
 	}
 }
 
 func TestUnknownSequenceErrors(t *testing.T) {
 	c := newTestCache(t, 8)
-	if err := c.AppendToken("ghost"); err != ErrUnknownSequence {
-		t.Error("AppendToken on ghost should fail")
+	if _, err := c.Lookup("ghost"); err != ErrUnknownSequence {
+		t.Error("Lookup on ghost should fail")
 	}
-	if err := c.Free("ghost"); err != ErrUnknownSequence {
-		t.Error("Free on ghost should fail")
+	var zero Handle
+	if err := c.AppendTokensH(zero, 1); err != ErrUnknownSequence {
+		t.Error("AppendTokensH through the zero handle should fail")
 	}
-	if err := c.Fork("ghost", "x"); err != ErrUnknownSequence {
-		t.Error("Fork from ghost should fail")
+	if err := c.ReserveH(zero, 64); err != ErrUnknownSequence {
+		t.Error("ReserveH through the zero handle should fail")
 	}
-	if _, err := c.Length("ghost"); err != ErrUnknownSequence {
-		t.Error("Length on ghost should fail")
+	if err := c.FreeH(zero); err != ErrUnknownSequence {
+		t.Error("FreeH through the zero handle should fail")
 	}
 }
 
@@ -190,9 +137,9 @@ func TestConfigValidate(t *testing.T) {
 
 func TestPeakUsedHighWaterMark(t *testing.T) {
 	c := newTestCache(t, 16)
-	_ = c.Allocate("a", 64) // 4 blocks
-	_ = c.Allocate("b", 64) // 4 blocks
-	_ = c.Free("a")
+	ha := alloc(t, c, "a", 64) // 4 blocks
+	alloc(t, c, "b", 64)       // 4 blocks
+	_ = c.FreeH(ha)
 	st := c.Stats()
 	if st.PeakUsed != 8 {
 		t.Errorf("peak = %d, want 8", st.PeakUsed)
@@ -202,9 +149,9 @@ func TestPeakUsedHighWaterMark(t *testing.T) {
 	}
 }
 
-// Property: a random workload of allocate/append/fork/free operations
-// never violates the cache invariants, and freeing everything returns the
-// cache to empty.
+// Property: a random workload of allocate/append/free operations through
+// handles never violates the cache invariants, and freeing everything
+// returns the cache to empty.
 func TestRandomWorkloadInvariants(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rand.New(rand.NewPCG(seed, 99))
@@ -212,32 +159,29 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		live := []string{}
+		var live []Handle
 		next := 0
 		for op := 0; op < 200; op++ {
-			switch r.IntN(4) {
+			switch r.IntN(3) {
 			case 0: // allocate
 				id := fmt.Sprintf("s%d", next)
 				next++
-				if c.Allocate(id, 1+r.IntN(100)) == nil {
-					live = append(live, id)
+				tokens := 1 + r.IntN(100)
+				if c.AllocateReserve(id, tokens, tokens) == nil {
+					h, err := c.Lookup(id)
+					if err != nil {
+						return false
+					}
+					live = append(live, h)
 				}
 			case 1: // append
 				if len(live) > 0 {
-					_ = c.AppendToken(live[r.IntN(len(live))])
+					_ = c.AppendTokensH(live[r.IntN(len(live))], 1+r.IntN(40))
 				}
-			case 2: // fork
-				if len(live) > 0 {
-					id := fmt.Sprintf("s%d", next)
-					next++
-					if c.Fork(live[r.IntN(len(live))], id) == nil {
-						live = append(live, id)
-					}
-				}
-			case 3: // free
+			case 2: // free
 				if len(live) > 0 {
 					i := r.IntN(len(live))
-					if c.Free(live[i]) != nil {
+					if c.FreeH(live[i]) != nil {
 						return false
 					}
 					live = append(live[:i], live[i+1:]...)
@@ -247,8 +191,8 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 				return false
 			}
 		}
-		for _, id := range live {
-			if c.Free(id) != nil {
+		for _, h := range live {
+			if c.FreeH(h) != nil {
 				return false
 			}
 		}
@@ -257,5 +201,21 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCheckInvariantsSharedPartialTail pins the audit that replaced the
+// copy-on-write branch: a second reference to a sequence's partial tail
+// block — here one the prefix index would hold — is reported, because
+// appendTokens writes that block in place.
+func TestCheckInvariantsSharedPartialTail(t *testing.T) {
+	c := newTestCache(t, 8)
+	h := alloc(t, c, "a", 20) // tail block holds 4 of 16 tokens
+	tail := h.s.blocks[len(h.s.blocks)-1]
+	c.retain(tail)
+	c.indexRef(tail, 1)
+	err := c.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "partial tail") {
+		t.Fatalf("CheckInvariants = %v, want a partial-tail refcount error", err)
 	}
 }

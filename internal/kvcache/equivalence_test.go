@@ -26,22 +26,22 @@ func snapshot(c *Cache) string {
 	return b.String()
 }
 
-// appendLoop emulates the engine's historical per-token decode loop:
-// n AppendToken calls, stopping at the first error.
-func appendLoop(c *Cache, id string, n int) error {
+// appendLoop emulates a per-token decode loop: n single-token
+// AppendTokensH calls, stopping at the first error.
+func appendLoop(c *Cache, h Handle, n int) error {
 	for t := 0; t < n; t++ {
-		if err := c.AppendToken(id); err != nil {
+		if err := c.AppendTokensH(h, 1); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// TestAppendTokensEquivalence drives three caches through one random
-// workload — allocate, fork, free, and variable-size appends — using the
-// per-token loop, the bulk AppendTokens call, and the Handle fast path
-// respectively. After every operation all three must agree on the error
-// returned and on the full cache state (lengths, block tables, refcounts,
+// TestAppendTokensEquivalence drives two caches through one random
+// workload — allocate, free, and variable-size appends — appending one
+// token per call on one and the whole chunk in one AppendTokensH call on
+// the other. After every operation both must agree on the error returned
+// and on the full cache state (lengths, block tables, refcounts,
 // free-list order), including the partial progress left behind when an
 // append runs out of blocks.
 func TestAppendTokensEquivalence(t *testing.T) {
@@ -66,22 +66,22 @@ func testEquivalenceSeed(t *testing.T, blockSize, numBlocks int, seed uint64) {
 		}
 		return c
 	}
-	tokenwise, bulk, handled := newCache(), newCache(), newCache()
-	handles := map[string]Handle{}
+	tokenwise, bulk := newCache(), newCache()
+	// handles[id] holds id's handle on tokenwise and on bulk.
+	handles := map[string][2]Handle{}
 
 	r := rand.New(rand.NewPCG(seed, 41))
 	var live []string
 	next := 0
-	check := func(op string, errA, errB, errC error) {
+	check := func(op string, errA, errB error) {
 		t.Helper()
-		if errA != errB || errA != errC {
-			t.Fatalf("seed %d %s: error divergence: tokenwise=%v bulk=%v handle=%v", seed, op, errA, errB, errC)
+		if errA != errB {
+			t.Fatalf("seed %d %s: error divergence: tokenwise=%v bulk=%v", seed, op, errA, errB)
 		}
-		a, b, c := snapshot(tokenwise), snapshot(bulk), snapshot(handled)
-		if a != b || a != c {
-			t.Fatalf("seed %d %s: state divergence\ntokenwise:\n%s\nbulk:\n%s\nhandle:\n%s", seed, op, a, b, c)
+		if a, b := snapshot(tokenwise), snapshot(bulk); a != b {
+			t.Fatalf("seed %d %s: state divergence\ntokenwise:\n%s\nbulk:\n%s", seed, op, a, b)
 		}
-		for name, c := range map[string]*Cache{"tokenwise": tokenwise, "bulk": bulk, "handle": handled} {
+		for name, c := range map[string]*Cache{"tokenwise": tokenwise, "bulk": bulk} {
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatalf("seed %d %s: %s invariants: %v", seed, op, name, err)
 			}
@@ -89,113 +89,81 @@ func testEquivalenceSeed(t *testing.T, blockSize, numBlocks int, seed uint64) {
 	}
 
 	for op := 0; op < 250; op++ {
-		switch r.IntN(5) {
+		switch r.IntN(4) {
 		case 0: // allocate
 			id := fmt.Sprintf("s%d", next)
 			next++
 			tokens := r.IntN(3 * blockSize)
-			errA := tokenwise.Allocate(id, tokens)
-			errB := bulk.Allocate(id, tokens)
-			errC := handled.Allocate(id, tokens)
-			if errC == nil {
-				h, err := handled.Lookup(id)
+			errA := tokenwise.AllocateReserve(id, tokens, tokens)
+			errB := bulk.AllocateReserve(id, tokens, tokens)
+			if errA == nil && errB == nil {
+				ha, err := tokenwise.Lookup(id)
 				if err != nil {
-					t.Fatalf("Lookup(%s) after Allocate: %v", id, err)
+					t.Fatalf("Lookup(%s) after AllocateReserve: %v", id, err)
 				}
-				handles[id] = h
+				hb, err := bulk.Lookup(id)
+				if err != nil {
+					t.Fatalf("Lookup(%s) after AllocateReserve: %v", id, err)
+				}
+				handles[id] = [2]Handle{ha, hb}
 				live = append(live, id)
 			}
-			check(fmt.Sprintf("allocate %s %d", id, tokens), errA, errB, errC)
+			check(fmt.Sprintf("allocate %s %d", id, tokens), errA, errB)
 		case 1, 2: // append a variable-size chunk (the interesting op)
 			if len(live) == 0 {
 				continue
 			}
 			id := live[r.IntN(len(live))]
 			n := r.IntN(3*blockSize + 5)
-			errA := appendLoop(tokenwise, id, n)
-			errB := bulk.AppendTokens(id, n)
-			errC := handled.AppendTokensH(handles[id], n)
-			check(fmt.Sprintf("append %s %d", id, n), errA, errB, errC)
-		case 3: // fork
-			if len(live) == 0 {
-				continue
-			}
-			parent := live[r.IntN(len(live))]
-			id := fmt.Sprintf("s%d", next)
-			next++
-			errA := tokenwise.Fork(parent, id)
-			errB := bulk.Fork(parent, id)
-			errC := handled.Fork(parent, id)
-			if errC == nil {
-				h, err := handled.Lookup(id)
-				if err != nil {
-					t.Fatalf("Lookup(%s) after Fork: %v", id, err)
-				}
-				handles[id] = h
-				live = append(live, id)
-			}
-			check(fmt.Sprintf("fork %s->%s", parent, id), errA, errB, errC)
-		case 4: // free
+			errA := appendLoop(tokenwise, handles[id][0], n)
+			errB := bulk.AppendTokensH(handles[id][1], n)
+			check(fmt.Sprintf("append %s %d", id, n), errA, errB)
+		case 3: // free
 			if len(live) == 0 {
 				continue
 			}
 			i := r.IntN(len(live))
 			id := live[i]
 			live = append(live[:i], live[i+1:]...)
-			errA := tokenwise.Free(id)
-			errB := bulk.Free(id)
-			errC := handled.FreeH(handles[id])
+			errA := tokenwise.FreeH(handles[id][0])
+			errB := bulk.FreeH(handles[id][1])
 			delete(handles, id)
-			check(fmt.Sprintf("free %s", id), errA, errB, errC)
+			check(fmt.Sprintf("free %s", id), errA, errB)
 		}
 	}
 }
 
 func TestAppendTokensZeroAndUnknown(t *testing.T) {
 	c := newTestCache(t, 8)
-	if err := c.AppendTokens("ghost", 4); err != ErrUnknownSequence {
-		t.Errorf("AppendTokens on ghost = %v, want ErrUnknownSequence", err)
+	if err := c.AppendTokensH(Handle{}, 4); err != ErrUnknownSequence {
+		t.Errorf("AppendTokensH through the zero handle = %v, want ErrUnknownSequence", err)
 	}
 	if _, err := c.Lookup("ghost"); err != ErrUnknownSequence {
 		t.Errorf("Lookup on ghost = %v, want ErrUnknownSequence", err)
 	}
-	if err := c.Allocate("a", 10); err != nil {
-		t.Fatal(err)
+	h := alloc(t, c, "a", 10)
+	if err := c.AppendTokensH(h, 0); err != nil {
+		t.Errorf("AppendTokensH n=0 = %v, want nil", err)
 	}
-	if err := c.AppendTokens("a", 0); err != nil {
-		t.Errorf("AppendTokens n=0 = %v, want nil", err)
+	if err := c.AppendTokensH(h, -3); err != nil {
+		t.Errorf("AppendTokensH n<0 = %v, want nil (no-op)", err)
 	}
-	if err := c.AppendTokens("a", -3); err != nil {
-		t.Errorf("AppendTokens n<0 = %v, want nil (no-op)", err)
-	}
-	if n, _ := c.Length("a"); n != 10 {
+	if n := h.s.length; n != 10 {
 		t.Errorf("length after no-op appends = %d, want 10", n)
 	}
 }
 
 // TestHandleLifecycle pins the staleness contract: a handle dies with its
-// sequence, whichever API freed it, and handles from another cache are
+// sequence, whichever handle freed it, and handles from another cache are
 // rejected.
 func TestHandleLifecycle(t *testing.T) {
 	c := newTestCache(t, 16)
-	if err := c.Allocate("a", 20); err != nil {
-		t.Fatal(err)
-	}
-	h, err := c.Lookup("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.ID() != "a" {
-		t.Errorf("handle ID = %q, want a", h.ID())
-	}
+	h := alloc(t, c, "a", 20)
 	if err := c.AppendTokensH(h, 30); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := c.LengthH(h); err != nil || n != 50 {
-		t.Errorf("LengthH = %d/%v, want 50", n, err)
-	}
-	if n, _ := c.Length("a"); n != 50 {
-		t.Errorf("Length = %d, want 50", n)
+	if n := h.s.length; n != 50 {
+		t.Errorf("length = %d, want 50", n)
 	}
 	if err := c.FreeH(h); err != nil {
 		t.Fatal(err)
@@ -206,29 +174,18 @@ func TestHandleLifecycle(t *testing.T) {
 	if err := c.AppendTokensH(h, 1); err != ErrUnknownSequence {
 		t.Errorf("append through stale handle = %v, want ErrUnknownSequence", err)
 	}
-	// Free through the map API must also invalidate handles.
-	if err := c.Allocate("b", 4); err != nil {
+	// Freeing through a second handle to the same sequence must also
+	// invalidate the first, even after the shell is recycled.
+	hb := alloc(t, c, "b", 4)
+	if err := freeID(c, "b"); err != nil {
 		t.Fatal(err)
 	}
-	hb, err := c.Lookup("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Free("b"); err != nil {
-		t.Fatal(err)
-	}
+	alloc(t, c, "b", 4)
 	if err := c.AppendTokensH(hb, 1); err != ErrUnknownSequence {
-		t.Errorf("append after map Free = %v, want ErrUnknownSequence", err)
+		t.Errorf("append after another handle's FreeH = %v, want ErrUnknownSequence", err)
 	}
 	// Handles are cache-scoped.
-	other := newTestCache(t, 16)
-	if err := other.Allocate("a", 4); err != nil {
-		t.Fatal(err)
-	}
-	ha, err := other.Lookup("a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ha := alloc(t, newTestCache(t, 16), "a", 4)
 	if err := c.AppendTokensH(ha, 1); err != ErrUnknownSequence {
 		t.Errorf("foreign handle = %v, want ErrUnknownSequence", err)
 	}
@@ -241,16 +198,14 @@ func TestHandleLifecycle(t *testing.T) {
 // behavior: the sequence is left exactly where a token-wise loop would
 // have stopped.
 func TestAppendTokensPartialProgress(t *testing.T) {
-	c := newTestCache(t, 4)                     // 4 blocks of 16 tokens
-	if err := c.Allocate("a", 24); err != nil { // 2 blocks, 8 free slots in tail
-		t.Fatal(err)
-	}
-	err := c.AppendTokens("a", 100) // wants 8 more blocks; only 2 exist
+	c := newTestCache(t, 4)        // 4 blocks of 16 tokens
+	h := alloc(t, c, "a", 24)      // 2 blocks, 8 free slots in tail
+	err := c.AppendTokensH(h, 100) // wants 8 more blocks; only 2 exist
 	if err != ErrOutOfBlocks {
 		t.Fatalf("got %v, want ErrOutOfBlocks", err)
 	}
 	// Tail filled (8) plus two whole grabbed blocks (32) = 64 tokens.
-	if n, _ := c.Length("a"); n != 64 {
+	if n := h.s.length; n != 64 {
 		t.Errorf("partial length = %d, want 64", n)
 	}
 	if st := c.Stats(); st.UsedBlocks != 4 || st.FreeBlocks != 0 {

@@ -2,11 +2,10 @@
 // prefix caching and SGLang's RadixAttention. Completed sequences donate
 // their full blocks to a content-addressed index (chained block hashes
 // over token symbols); a later request whose prompt shares a prefix
-// re-acquires those blocks with fork-style refcount bumps and only
-// prefills the unmatched suffix. Retained blocks are reclaimable
-// capacity: when the free list runs low, the least-recently-used leaf
-// entries are evicted first, so hot session histories survive while cold
-// ones make room.
+// re-acquires those blocks with refcount bumps and only prefills the
+// unmatched suffix. Retained blocks are reclaimable capacity: when the
+// free list runs low, the least-recently-used leaf entries are evicted
+// first, so hot session histories survive while cold ones make room.
 package kvcache
 
 import (
@@ -193,16 +192,15 @@ func (ix *PrefixIndex) Probe(syms []uint64) int {
 }
 
 // Acquire creates seqID seeded with the longest indexed prefix of syms
-// (fork-style: matched blocks are shared copy-on-write via refcount
-// bumps) and returns the number of tokens reused. A zero return means a
-// cold start; the sequence then exists with length 0 and the caller
-// appends the whole prompt. A match that walks onto a host-resident
-// chain tail promotes it back to the device tier block by block,
-// charging RestoreSeconds for the host-link transfer; if the cache runs
-// out of blocks mid-promotion the chain is truncated there (the
-// already-promoted prefix is kept). The caller must not evict between a
-// Probe and the Acquire that relies on it — both walk the same index
-// state.
+// (matched full blocks are shared via refcount bumps) and returns the
+// number of tokens reused. A zero return means a cold start; the
+// sequence then exists with length 0 and the caller appends the whole
+// prompt. A match that walks onto a host-resident chain tail promotes it
+// back to the device tier block by block, charging RestoreSeconds for
+// the host-link transfer; if the cache runs out of blocks mid-promotion
+// the chain is truncated there (the already-promoted prefix is kept).
+// The caller must not evict between a Probe and the Acquire that relies
+// on it — both walk the same index state.
 func (ix *PrefixIndex) Acquire(seqID string, syms []uint64) (int, error) {
 	if _, ok := ix.c.seqs[seqID]; ok {
 		return 0, ErrSequenceExists

@@ -87,7 +87,7 @@ func TestPrefixSharedBlocksWhileLive(t *testing.T) {
 	runTurn(t, c, ix, "t0", prompt, nil)
 
 	// Two concurrent branches off the same retained history: both share
-	// the retained blocks fork-style.
+	// the retained blocks by refcount.
 	for _, id := range []string{"b0", "b1"} {
 		if _, err := ix.Acquire(id, prompt); err != nil {
 			t.Fatal(err)
@@ -100,7 +100,7 @@ func TestPrefixSharedBlocksWhileLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"b0", "b1"} {
-		if err := c.Free(id); err != nil {
+		if err := freeID(c, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +214,7 @@ func TestPrefixEvictSharedBlockDoesNotFreeIt(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Free("live"); err != nil {
+	if err := freeID(c, "live"); err != nil {
 		t.Fatal(err)
 	}
 	// The evicted leaf's block frees with the sequence; the surviving

@@ -90,7 +90,7 @@ func TestTierPromoteOnAcquireChargesRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-demotion after the promoted turn completes a full cycle.
-	if err := c.Free("a1"); err != nil {
+	if err := freeID(c, "a1"); err != nil {
 		t.Fatal(err)
 	}
 	ix.EnsureFree(8)
@@ -139,7 +139,7 @@ func TestTierReleaseBelowHostSegmentTruncates(t *testing.T) {
 	// front of its history is host-resident (demoted between its
 	// admission and completion).
 	ext := append(append([]uint64{}, prompt...), syms(9000, 4)...)
-	if err := c.Allocate("ext", len(ext)); err != nil {
+	if err := c.AllocateReserve("ext", len(ext), len(ext)); err != nil {
 		t.Fatal(err)
 	}
 	h, err := c.Lookup("ext")

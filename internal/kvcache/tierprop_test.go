@@ -80,7 +80,7 @@ func runTierCycleSeed(t *testing.T, seed int64) {
 			}
 			if err := c.AppendTokensH(h, len(prompt)-matched); err != nil {
 				// Out of capacity mid-turn: abandon the sequence.
-				if err := c.Free(id); err != nil {
+				if err := freeID(c, id); err != nil {
 					t.Fatalf("free %s: %v", id, err)
 				}
 				check("append-failed-free")
@@ -115,7 +115,7 @@ func runTierCycleSeed(t *testing.T, seed int64) {
 			j := rng.Intn(len(live))
 			s := live[j]
 			live = append(live[:j], live[j+1:]...)
-			if err := c.Free(s.id); err != nil {
+			if err := freeID(c, s.id); err != nil {
 				t.Fatalf("free %s: %v", s.id, err)
 			}
 			check("free")
@@ -134,7 +134,7 @@ func runTierCycleSeed(t *testing.T, seed int64) {
 		}
 	}
 	for _, s := range live {
-		if err := c.Free(s.id); err != nil {
+		if err := freeID(c, s.id); err != nil {
 			t.Fatalf("final free %s: %v", s.id, err)
 		}
 		check("final-free")

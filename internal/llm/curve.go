@@ -148,23 +148,3 @@ func InterpolateHardBudget(m model.ID, b data.Benchmark, budget int) (Behavior, 
 	}
 	return out, true
 }
-
-// BudgetForLatency inverts a latency model: given the time budget left
-// after prefill and a per-token decode rate, it returns the largest hard
-// token budget that fits. It is the hardware-aware "latency → max
-// decodable tokens" mapping the introduction calls for; the core package
-// wires it to the fitted models.
-func BudgetForLatency(latencyBudget, prefillTime, timePerToken float64) int {
-	if timePerToken <= 0 {
-		return 0
-	}
-	remaining := latencyBudget - prefillTime
-	if remaining <= 0 {
-		return 0
-	}
-	n := int(remaining / timePerToken)
-	if n < 0 {
-		n = 0
-	}
-	return n
-}

@@ -119,20 +119,6 @@ func TestInterpolateHardBudgetTrend(t *testing.T) {
 	}
 }
 
-func TestBudgetForLatency(t *testing.T) {
-	// 20 s budget, 0.5 s prefill, 0.187 s/token (14B) -> ~104 tokens.
-	n := BudgetForLatency(20, 0.5, 0.187)
-	if n < 100 || n > 108 {
-		t.Errorf("budget = %d tokens, want ~104", n)
-	}
-	if BudgetForLatency(1, 2, 0.1) != 0 {
-		t.Error("negative remaining time must yield 0")
-	}
-	if BudgetForLatency(10, 0, 0) != 0 {
-		t.Error("zero rate must yield 0")
-	}
-}
-
 func TestCalibratedConfigsList(t *testing.T) {
 	keys := CalibratedConfigs(model.DSR1Llama8B, data.MMLURedux)
 	want := map[string]bool{"base": true, "soft-128": true, "soft-256": true, "nr": true, "hard-128": true, "hard-256": true, "hard-512": true}

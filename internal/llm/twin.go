@@ -271,12 +271,8 @@ func normCDF(x float64) float64 {
 	return 0.5 * (1 + math.Erf(x/math.Sqrt2))
 }
 
-// censoredMean returns E[min(X, c)] for X ~ LogNormal(mu, sigma).
-func censoredMean(mu, sigma, c float64) float64 {
-	return censoredMeanLog(mu, sigma, c, math.Log(c))
-}
-
-// censoredMeanLog is censoredMean with lc = log(c) precomputed.
+// censoredMeanLog returns E[min(X, c)] for X ~ LogNormal(mu, sigma),
+// with lc = log(c) precomputed.
 func censoredMeanLog(mu, sigma, c, lc float64) float64 {
 	m := math.Exp(mu + sigma*sigma/2)
 	return m*normCDF((lc-mu-sigma*sigma)/sigma) + c*(1-normCDF((lc-mu)/sigma))
@@ -297,8 +293,8 @@ func censoredLogNormalSample(rng *stats.RNG, targetMean, mu, sigma, cap float64)
 	return x
 }
 
-// solveCensoredMu inverts censoredMean over mu via bisection. lo always
-// satisfies censoredMean < target and hi never does, so once the bracket
+// solveCensoredMu inverts censoredMeanLog over mu via bisection. lo always
+// satisfies censoredMeanLog < target and hi never does, so once the bracket
 // is two adjacent doubles (mid rounds onto an end) every remaining step
 // would leave it unchanged: stopping there returns the same bits as
 // running all 60 steps.

@@ -214,35 +214,35 @@ func TestCensoredMeanMath(t *testing.T) {
 	// uncensored one.
 	mu, sigma := 5.0, 0.4
 	uncensored := math.Exp(mu + sigma*sigma/2)
-	if got := censoredMean(mu, sigma, 1e9); math.Abs(got-uncensored)/uncensored > 1e-9 {
-		t.Errorf("censoredMean with huge cap = %v, want %v", got, uncensored)
+	if got := censoredMeanLog(mu, sigma, 1e9, math.Log(1e9)); math.Abs(got-uncensored)/uncensored > 1e-9 {
+		t.Errorf("censored mean with huge cap = %v, want %v", got, uncensored)
 	}
 	// With the cap at the median, the mean must fall strictly below cap
 	// and below the uncensored mean.
 	capAt := math.Exp(mu)
-	got := censoredMean(mu, sigma, capAt)
+	got := censoredMeanLog(mu, sigma, capAt, math.Log(capAt))
 	if got >= capAt || got >= uncensored {
-		t.Errorf("censoredMean at median = %v, cap %v, uncensored %v", got, capAt, uncensored)
+		t.Errorf("censored mean at median = %v, cap %v, uncensored %v", got, capAt, uncensored)
 	}
 }
 
 func TestSolveCensoredMuRoundTrip(t *testing.T) {
 	target, sigma, c := 91.5, 0.45, 128.0
 	mu := solveCensoredMu(target, sigma, c)
-	if got := censoredMean(mu, sigma, c); math.Abs(got-target)/target > 0.001 {
-		t.Errorf("round trip: censoredMean(solve(%v)) = %v", target, got)
+	if got := censoredMeanLog(mu, sigma, c, math.Log(c)); math.Abs(got-target)/target > 0.001 {
+		t.Errorf("round trip: censored mean at solve(%v) = %v", target, got)
 	}
 }
 
-// solveCensoredMuReference is the original solver, verbatim: 60 bisection
-// steps with log(c) recomputed inside censoredMean on every step. The
-// production solver must return the same bits.
+// solveCensoredMuReference is the original solver: all 60 bisection
+// steps, with log(c) recomputed on every step. The production solver
+// must return the same bits.
 func solveCensoredMuReference(target, sigma, c float64) float64 {
 	lo := math.Log(target) - sigma*sigma/2 - 2 // censored mean < uncensored
 	hi := math.Log(c) + 4*sigma                // pushes censored mean -> c
 	for i := 0; i < 60; i++ {
 		mid := (lo + hi) / 2
-		if censoredMean(mid, sigma, c) < target {
+		if censoredMeanLog(mid, sigma, c, math.Log(c)) < target {
 			lo = mid
 		} else {
 			hi = mid

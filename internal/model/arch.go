@@ -132,21 +132,6 @@ func (a Arch) KVBytesPerToken() int64 {
 	return 2 /*K+V*/ * int64(a.Layers) * int64(a.KVHeads) * int64(a.HeadDim) * 2 /*fp16*/
 }
 
-// PrefillFLOPs returns the floating-point work to prefill n prompt tokens:
-// 2·params per token for the dense projections plus the quadratic
-// attention term (QKᵀ and attention·V, causal ≈ half the full square,
-// but kernels compute the full rectangle on padded tiles — we charge the
-// full square as CUTLASS does).
-func (a Arch) PrefillFLOPs(n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	nn := float64(n)
-	dense := 2 * float64(a.ParamCount()-a.EmbeddingParams()/denseEmbdDivisor(a)) * nn
-	attn := 4 * float64(a.Layers) * nn * nn * float64(a.Heads) * float64(a.HeadDim)
-	return dense + attn
-}
-
 // denseEmbdDivisor discounts the embedding lookup (gather, not matmul) but
 // keeps the LM head GEMM. Tied models run the head once, untied models
 // hold both matrices but still multiply only one.
@@ -163,17 +148,4 @@ func (a Arch) DecodeFLOPs(context int) float64 {
 	dense := 2 * float64(a.ParamCount()-a.EmbeddingParams()/denseEmbdDivisor(a))
 	attn := 4 * float64(a.Layers) * float64(context) * float64(a.KVHeads) * float64(a.HeadDim)
 	return dense + attn
-}
-
-// DecodeReadBytes returns the bytes a decode step must stream: the full
-// weight set (batch-amortized by the caller) plus this sequence's KV cache.
-func (a Arch) DecodeReadBytes(dt DType, context int) int64 {
-	return a.WeightBytes(dt) + int64(context)*a.KVBytesPerToken()
-}
-
-// PrefillReadBytes returns the bytes a prefill pass streams: one weight
-// read (token-parallel reuse) plus activations traffic approximated by the
-// KV writes.
-func (a Arch) PrefillReadBytes(dt DType, n int) int64 {
-	return a.WeightBytes(dt) + int64(n)*a.KVBytesPerToken()
 }

@@ -66,31 +66,6 @@ func TestKVBytesPerToken(t *testing.T) {
 	}
 }
 
-func TestPrefillFLOPsScale(t *testing.T) {
-	a := MustLookup(DSR1Llama8B).Arch
-	// Dense term should dominate at short lengths: ~2·P·n.
-	n := 512
-	got := a.PrefillFLOPs(n)
-	lower := 2 * float64(a.ParamCount()) * float64(n) * 0.85
-	upper := 2 * float64(a.ParamCount()) * float64(n) * 1.5
-	if got < lower || got > upper {
-		t.Errorf("PrefillFLOPs(512) = %.3g, want within [%.3g, %.3g]", got, lower, upper)
-	}
-	if a.PrefillFLOPs(0) != 0 {
-		t.Error("PrefillFLOPs(0) must be 0")
-	}
-}
-
-func TestPrefillFLOPsSuperlinear(t *testing.T) {
-	a := MustLookup(DSR1Qwen14B).Arch
-	// Quadratic attention term: doubling n must more than double FLOPs.
-	f1 := a.PrefillFLOPs(2048)
-	f2 := a.PrefillFLOPs(4096)
-	if f2 <= 2*f1 {
-		t.Errorf("prefill FLOPs not superlinear: f(4096)=%.3g vs 2·f(2048)=%.3g", f2, 2*f1)
-	}
-}
-
 func TestDecodeFLOPsGrowWithContext(t *testing.T) {
 	a := MustLookup(DSR1Llama8B).Arch
 	if a.DecodeFLOPs(4096) <= a.DecodeFLOPs(1) {
@@ -100,18 +75,6 @@ func TestDecodeFLOPsGrowWithContext(t *testing.T) {
 	growth := a.DecodeFLOPs(4096) / a.DecodeFLOPs(1)
 	if growth > 1.2 {
 		t.Errorf("decode FLOPs grew %vx over 4k context; attention term too large", growth)
-	}
-}
-
-func TestDecodeReadBytesLinearInContext(t *testing.T) {
-	a := MustLookup(DSR1Llama8B).Arch
-	b0 := a.DecodeReadBytes(FP16, 0)
-	b1 := a.DecodeReadBytes(FP16, 1000)
-	if b1-b0 != 1000*a.KVBytesPerToken() {
-		t.Error("context KV read not linear")
-	}
-	if b0 != a.WeightBytes(FP16) {
-		t.Error("zero-context decode must read exactly the weights")
 	}
 }
 

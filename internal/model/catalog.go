@@ -1,9 +1,6 @@
 package model
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Class partitions the catalog the way the paper's evaluation does (§V).
 type Class int
@@ -145,20 +142,6 @@ func MustLookup(id ID) Spec {
 func All() []Spec {
 	out := make([]Spec, len(catalog))
 	copy(out, catalog)
-	return out
-}
-
-// ByClass returns catalog entries of one class, sorted by parameter count.
-func ByClass(c Class) []Spec {
-	var out []Spec
-	for _, s := range catalog {
-		if s.Class == c {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Arch.ParamCount() < out[j].Arch.ParamCount()
-	})
 	return out
 }
 

@@ -48,23 +48,6 @@ func TestQuantizedVariant(t *testing.T) {
 	}
 }
 
-func TestByClassOrdering(t *testing.T) {
-	rs := ByClass(Reasoning)
-	if len(rs) < 3 {
-		t.Fatalf("want >=3 reasoning models, got %d", len(rs))
-	}
-	for i := 1; i < len(rs); i++ {
-		if rs[i].Arch.ParamCount() < rs[i-1].Arch.ParamCount() {
-			t.Error("ByClass not sorted by parameter count")
-		}
-	}
-	for _, s := range ByClass(NonReasoning) {
-		if s.Class != NonReasoning {
-			t.Errorf("%s leaked into NonReasoning", s.ID)
-		}
-	}
-}
-
 func TestDSR1FamilySizeOrder(t *testing.T) {
 	fam := DSR1Family()
 	if len(fam) != 3 {

@@ -81,29 +81,12 @@ type Comparison struct {
 	HaveAccuracy                bool
 }
 
-// PrefillSpeedup returns base/quant mean prefill time.
-func (c Comparison) PrefillSpeedup() float64 {
-	if c.QuantPrefill.MeanTime <= 0 {
-		return 0
-	}
-	return c.BasePrefill.MeanTime / c.QuantPrefill.MeanTime
-}
-
 // DecodeSpeedup returns base/quant mean decode time.
 func (c Comparison) DecodeSpeedup() float64 {
 	if c.QuantDecode.MeanTime <= 0 {
 		return 0
 	}
 	return c.BaseDecode.MeanTime / c.QuantDecode.MeanTime
-}
-
-// AccuracyDropPct returns the relative accuracy loss in percent
-// (positive = quantized is worse), as Fig 14 reports.
-func (c Comparison) AccuracyDropPct() float64 {
-	if !c.HaveAccuracy || c.BaseAccuracy == 0 {
-		return 0
-	}
-	return (c.BaseAccuracy - c.QuantAccuracy) / c.BaseAccuracy * 100
 }
 
 // Compare builds the full base-vs-W4 comparison for a spec, pulling

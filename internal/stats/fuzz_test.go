@@ -32,8 +32,9 @@ func addFloats(f *testing.F, p float64, xs []float64) {
 // FuzzPercentiles asserts the percentile toolbox's guarded contract on
 // arbitrary samples and ranks: no panics; non-finite samples are ignored;
 // with at least one finite sample and a finite p the result is finite and
-// bounded by the finite min/max; Percentiles agrees element-wise with
-// Percentile; and results are monotone in p.
+// bounded by the finite min/max; a single-rank Percentiles call agrees
+// with the same rank inside a multi-rank call; Percentiles3 equals
+// Percentiles(xs, 50, 95, 99) element-wise; and results are monotone in p.
 func FuzzPercentiles(f *testing.F) {
 	addFloats(f, 50, []float64{1, 2, 3, 4, 5})
 	addFloats(f, 99, []float64{0.1, 7.5, 3.2, 9.9})
@@ -45,10 +46,14 @@ func FuzzPercentiles(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p float64, data []byte) {
 		xs := floatsFromBytes(data)
 
-		got := Percentile(xs, p)
+		got := Percentiles(xs, p)[0]
 		multi := Percentiles(xs, 0, 25, p, 75, 100)
 		if multi[2] != got && !(math.IsNaN(multi[2]) && math.IsNaN(got)) {
-			t.Fatalf("Percentiles disagrees with Percentile at p=%v: %v vs %v", p, multi[2], got)
+			t.Fatalf("multi-rank Percentiles disagrees with single-rank at p=%v: %v vs %v", p, multi[2], got)
+		}
+		p50, p95, p99 := Percentiles3(xs)
+		if want := Percentiles(xs, 50, 95, 99); p50 != want[0] || p95 != want[1] || p99 != want[2] {
+			t.Fatalf("Percentiles3 = (%v, %v, %v), want %v", p50, p95, p99, want)
 		}
 
 		var finite []float64
@@ -62,23 +67,23 @@ func FuzzPercentiles(f *testing.F) {
 			// convention, NaN ranks report NaN.
 			if math.IsNaN(p) {
 				if !math.IsNaN(got) {
-					t.Fatalf("Percentile(no finite, NaN) = %v, want NaN", got)
+					t.Fatalf("Percentiles(no finite, NaN) = %v, want NaN", got)
 				}
 				return
 			}
 			if got != 0 {
-				t.Fatalf("Percentile(no finite samples, %v) = %v, want 0", p, got)
+				t.Fatalf("Percentiles(no finite samples, %v) = %v, want 0", p, got)
 			}
 			return
 		}
 		if math.IsNaN(p) {
 			if !math.IsNaN(got) {
-				t.Fatalf("Percentile(xs, NaN) = %v, want NaN", got)
+				t.Fatalf("Percentiles(xs, NaN) = %v, want NaN", got)
 			}
 			return
 		}
 		if math.IsNaN(got) || math.IsInf(got, 0) {
-			t.Fatalf("Percentile(%v finite samples, p=%v) = %v, want finite", len(finite), p, got)
+			t.Fatalf("Percentiles(%v finite samples, p=%v) = %v, want finite", len(finite), p, got)
 		}
 		lo, hi := finite[0], finite[0]
 		for _, x := range finite {
@@ -86,7 +91,7 @@ func FuzzPercentiles(f *testing.F) {
 			hi = math.Max(hi, x)
 		}
 		if got < lo || got > hi {
-			t.Fatalf("Percentile(p=%v) = %v outside finite sample range [%v, %v]", p, got, lo, hi)
+			t.Fatalf("Percentiles(p=%v) = %v outside finite sample range [%v, %v]", p, got, lo, hi)
 		}
 		// Monotone in p over one shared sort.
 		for i := 1; i < len(multi); i++ {

@@ -49,7 +49,7 @@ func MustHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one value. NaN observations are ignored (the same
-// poisoning guard Percentile applies).
+// poisoning guard Percentiles applies).
 func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) {
 		return
@@ -110,39 +110,6 @@ func (h *Histogram) Clone() *Histogram {
 	c := &Histogram{bounds: h.bounds, counts: make([]uint64, len(h.counts)), sum: h.sum, n: h.n}
 	copy(c.counts, h.counts)
 	return c
-}
-
-// Quantile estimates the q-th quantile (0..1) by linear interpolation
-// within the containing bucket, the standard fixed-bucket estimator.
-// The first bucket interpolates from 0; the overflow bucket reports its
-// lower bound (the largest finite bound) — there is no upper edge to
-// interpolate toward. An empty histogram returns 0; q is clamped.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 || math.IsNaN(q) {
-		return 0
-	}
-	q = Clamp(q, 0, 1)
-	rank := q * float64(h.n)
-	var cum float64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if rank <= next || i == len(h.counts)-1 {
-			if i == len(h.counts)-1 {
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			frac := (rank - cum) / float64(c)
-			return lo + Clamp(frac, 0, 1)*(h.bounds[i]-lo)
-		}
-		cum = next
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 // ExpBuckets returns n upper bounds growing geometrically from start by

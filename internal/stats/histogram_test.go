@@ -63,31 +63,6 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h := MustHistogram([]float64{10, 20, 30})
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i%30) + 0.5)
-	}
-	if q := h.Quantile(0.5); q < 10 || q > 20 {
-		t.Errorf("Quantile(0.5) = %v, want within (10, 20]", q)
-	}
-	if q := h.Quantile(0); q < 0 || q > 10 {
-		t.Errorf("Quantile(0) = %v, want within first bucket", q)
-	}
-	if q := h.Quantile(1); q != 30 {
-		t.Errorf("Quantile(1) = %v, want 30 (no overflow observations)", q)
-	}
-	empty := MustHistogram([]float64{1})
-	if q := empty.Quantile(0.5); q != 0 {
-		t.Errorf("empty Quantile = %v, want 0", q)
-	}
-	over := MustHistogram([]float64{1})
-	over.Observe(100)
-	if q := over.Quantile(0.99); q != 1 {
-		t.Errorf("overflow Quantile = %v, want the largest finite bound 1", q)
-	}
-}
-
 func TestHistogramValidation(t *testing.T) {
 	cases := [][]float64{
 		nil,

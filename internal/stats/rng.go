@@ -39,11 +39,6 @@ func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
 // NormFloat64 returns a standard normal sample.
 func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
 
-// Normal returns a normal sample with the given mean and standard deviation.
-func (r *RNG) Normal(mean, stddev float64) float64 {
-	return mean + stddev*r.src.NormFloat64()
-}
-
 // LogNormal returns a sample whose logarithm is normal with parameters mu
 // and sigma. The mean of the distribution is exp(mu + sigma²/2).
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
@@ -138,14 +133,8 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.src.Float64() < p
 }
 
-// Jitter returns x scaled by a uniform factor in [1-frac, 1+frac]. Used for
-// small measurement-noise perturbations.
-func (r *RNG) Jitter(x, frac float64) float64 {
-	return x * (1 + frac*(2*r.src.Float64()-1))
-}
-
 // HashJitter returns x scaled by a deterministic factor in [1-frac, 1+frac]
-// derived from the key. Unlike Jitter it consumes no stream state, so it is
+// derived from the key. It consumes no stream state, so it is
 // used where the paper observes deterministic-but-irregular effects (e.g.
 // CUTLASS kernel-variant selection by GEMM shape).
 func HashJitter(x, frac float64, key uint64) float64 {

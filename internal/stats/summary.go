@@ -5,46 +5,6 @@ import (
 	"sort"
 )
 
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64 // sample standard deviation (n-1)
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes descriptive statistics. An empty input yields a zero
-// Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	if len(xs) > 1 {
-		ss := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	s.Median = Percentile(xs, 50)
-	return s
-}
-
 // Mean returns the arithmetic mean, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -57,34 +17,17 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Sum returns the sum of the slice.
-func Sum(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
-// Percentile returns the p-th percentile (0..100) using linear
-// interpolation between closest ranks. The input need not be sorted.
+// Percentiles returns the p-th percentile (0..100) for each p, using
+// linear interpolation between closest ranks over a single sort of the
+// input, which need not be sorted.
 //
 // Guards: non-finite samples (NaN, ±Inf) are ignored — they would
 // otherwise poison the sort and the interpolation; an input with no
 // finite samples returns 0 (matching the empty-input convention); p is
 // clamped to [0, 100]; a NaN p returns NaN. With at least one finite
-// sample and a finite p the result is always finite and lies within
-// [min, max] of the finite samples (the fuzz target in fuzz_test.go
-// holds this contract).
-func Percentile(xs []float64, p float64) float64 {
-	sorted := sortedFinite(xs)
-	return percentileSorted(sorted, p)
-}
-
-// Percentiles returns the percentile for each p over a single sort of the
-// input — the multi-quantile call sites (P50/P95/P99 reporting) pay one
-// O(n log n) pass instead of one per quantile. Each element follows the
-// same guarded contract as Percentile.
+// sample and a finite p each result is finite and lies within [min, max]
+// of the finite samples (the fuzz target in fuzz_test.go holds this
+// contract).
 func Percentiles(xs []float64, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
 	sorted := sortedFinite(xs)
@@ -189,18 +132,4 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// Linspace returns n evenly spaced values from lo to hi inclusive.
-// n < 2 returns []float64{lo}.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		return []float64{lo}
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	return out
 }

@@ -6,33 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestSummarizeBasics(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 {
-		t.Fatalf("N = %d, want 5", s.N)
-	}
-	if s.Mean != 3 {
-		t.Errorf("Mean = %v, want 3", s.Mean)
-	}
-	if s.Min != 1 || s.Max != 5 {
-		t.Errorf("Min/Max = %v/%v, want 1/5", s.Min, s.Max)
-	}
-	if s.Median != 3 {
-		t.Errorf("Median = %v, want 3", s.Median)
-	}
-	wantStd := math.Sqrt(2.5)
-	if math.Abs(s.Std-wantStd) > 1e-12 {
-		t.Errorf("Std = %v, want %v", s.Std, wantStd)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 {
-		t.Errorf("empty summary should be zero, got %+v", s)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{10, 20, 30, 40}
 	cases := []struct {
@@ -42,17 +15,18 @@ func TestPercentile(t *testing.T) {
 		{0, 10}, {100, 40}, {50, 25}, {25, 17.5},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
+		if got := Percentiles(xs, c.p)[0]; math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("Percentiles(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
 }
 
 func TestPercentileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	Percentile(xs, 50)
+	Percentiles(xs, 50)
+	Percentiles3(xs)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("Percentile mutated input: %v", xs)
+		t.Errorf("percentiles mutated input: %v", xs)
 	}
 }
 
@@ -90,16 +64,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestLinspace(t *testing.T) {
-	xs := Linspace(0, 10, 5)
-	want := []float64{0, 2.5, 5, 7.5, 10}
-	for i := range want {
-		if math.Abs(xs[i]-want[i]) > 1e-12 {
-			t.Fatalf("Linspace = %v, want %v", xs, want)
-		}
-	}
-}
-
 // Property: the mean always lies within [min, max].
 func TestMeanBoundedProperty(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -112,8 +76,13 @@ func TestMeanBoundedProperty(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		s := Summarize(xs)
-		return s.Mean >= s.Min-1e-9 && s.Mean <= s.Max+1e-9
+		lo, hi := xs[0], xs[0]
+		for _, x := range xs {
+			lo = math.Min(lo, x)
+			hi = math.Max(hi, x)
+		}
+		m := Mean(xs)
+		return m >= lo-1e-9 && m <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -137,7 +106,8 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		if pa > pb {
 			pa, pb = pb, pa
 		}
-		return Percentile(xs, pa) <= Percentile(xs, pb)+1e-9
+		ps := Percentiles(xs, pa, pb)
+		return ps[0] <= ps[1]+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -37,6 +37,8 @@ type Series struct {
 	Label string // track attribution ("" for fleet-wide series)
 	Kind  SeriesKind
 
+	// minGap is the minimum simulated-seconds gap between stored samples.
+	// It starts at 0 (every sample kept) and grows only when thin runs.
 	minGap float64
 	pts    []Point // cap fixed at creation; thinning keeps it bounded
 	total  float64 // Counter accumulator

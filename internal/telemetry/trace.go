@@ -31,11 +31,6 @@ type Config struct {
 	// SeriesCap bounds points per series; overflow thins uniformly in
 	// time. Default 4096.
 	SeriesCap int
-	// SampleInterval is the minimum simulated-seconds gap between stored
-	// samples of one series (closer samples update the last point in
-	// place). Default 0 — keep every sample until SeriesCap forces
-	// thinning.
-	SampleInterval float64
 }
 
 func (c Config) withDefaults() Config {
@@ -133,8 +128,7 @@ func (t *Trace) seriesFor(name, label string, kind SeriesKind) *Series {
 	}
 	s := &Series{
 		Name: name, Label: label, Kind: kind,
-		minGap: t.cfg.SampleInterval,
-		pts:    make([]Point, 0, t.cfg.SeriesCap),
+		pts: make([]Point, 0, t.cfg.SeriesCap),
 	}
 	t.byKey[key] = s
 	t.series = append(t.series, s)
@@ -278,6 +272,4 @@ var (
 	TTFTBuckets = stats.ExpBuckets(0.01, 2, 13)
 	// DecodeRateBuckets cover decode tokens/second: 1 to 512.
 	DecodeRateBuckets = stats.ExpBuckets(1, 2, 10)
-	// LatencyBuckets cover end-to-end request seconds: 50 ms to ~205 s.
-	LatencyBuckets = stats.ExpBuckets(0.05, 2, 12)
 )
