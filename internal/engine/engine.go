@@ -5,10 +5,10 @@
 // latency/energy experiment in the paper runs on.
 //
 // Server is the engine's one admission/decode loop, as a stepping API
-// (push, advance, abort). ServeSource drives it over one stream; Serve,
-// Run and Generate are wrappers over ServeSource: an open-loop slice, a
-// closed batch with every arrival at the current clock, and a batch of
-// one.
+// (push, advance, predict, abort). ServeSource drives it over one
+// stream; Serve, Run and Generate are wrappers over ServeSource: an
+// open-loop slice, a closed batch with every arrival at the current
+// clock, and a batch of one.
 package engine
 
 import (
@@ -252,10 +252,10 @@ func (e *Engine) Clock() float64 { return e.clock }
 // overhead.
 //
 //edgereasoning:hotpath bench=BenchmarkServeHotLoop
-func (e *Engine) prefill(tokens int) (gpusim.Result, error) {
+func (e *Engine) prefill(tokens int) gpusim.Result {
 	res := e.sim.Prefill(e.cfg.Spec.Arch, e.cfg.Spec.DType, tokens, 1)
 	res.Time *= e.cfg.Framework.PrefillFactor
-	return res, nil
+	return res
 }
 
 // decodeChunk advances the active contexts n steps and charges framework

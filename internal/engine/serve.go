@@ -179,10 +179,11 @@ func (f *FaultInjection) ThrottleAt(t float64) float64 {
 
 // queued is a ready-queue entry: the request and the instant it became
 // visible to the engine (its arrival under ServeSource, its dispatch
-// under a router).
+// under a router). pre is its cold prefill time, priced by the first
+// Predict that walks past it (0 until then).
 type queued struct {
 	TimedRequest
-	at float64
+	at, pre float64
 }
 
 // readyQueue is the admission queue: head-indexed so popping the front is
@@ -298,9 +299,10 @@ func (e *Engine) ServeSource(src Source, maxBatch int, policy SchedPolicy, opts 
 // Server is one serve run in progress: the engine's single admission/
 // decode loop as a stepping API. A driver pushes requests as they become
 // visible (Push), moves the clock to the instants it cares about
-// (AdvanceTo), and may crash the work in flight (Abort); Finish runs the
-// rest to completion. ServeSource drives one Server over one stream; the
-// fleet router drives one per replica, all on one clock.
+// (AdvanceTo), may ask when a request would finish (Predict), and may
+// crash the work in flight (Abort); Finish runs the rest to completion.
+// ServeSource drives one Server over one stream; the fleet router drives
+// one per replica, all on one clock.
 //
 // Events — a prefill, or a decode chunk — are atomic: AdvanceTo(t) runs
 // every event that starts before t, so the clock may pass t by part of
@@ -338,7 +340,8 @@ type Server struct {
 	// so a request never exhausts the cache mid-decode (the simulator's
 	// stand-in for vLLM's preemption machinery).
 	futureGrowth int
-	ctxs         []int // scratch, reused every decode event
+	ctxs         []int // scratch, reused every decode event and by Predict
+	pctx, prem   []int // Predict's scratch: modeled contexts and remaining tokens
 	out          ServeMetrics
 	start        float64
 	// now is the latest instant the driver advanced to — when a push
@@ -360,10 +363,10 @@ func (e *Engine) Start(maxBatch int, policy SchedPolicy, opts ServeOpts) *Server
 	if maxBatch <= 0 {
 		maxBatch = 1
 	}
-	// active and done share one allocation, as do freeSlots and ctxs:
-	// together they never hold more than maxBatch sequences each.
+	// active and done share one allocation, as do freeSlots, ctxs, pctx
+	// and prem: none ever holds more than maxBatch sequences.
 	seqs := make([]*activeSeq, 2*maxBatch)
-	ints := make([]int, 2*maxBatch)
+	ints := make([]int, 4*maxBatch)
 	s := &Server{
 		e: e, maxBatch: maxBatch, policy: policy, lean: opts.LeanMetrics, fx: opts.Faults,
 		tra:       e.cfg.Trace,
@@ -371,7 +374,9 @@ func (e *Engine) Start(maxBatch int, policy SchedPolicy, opts ServeOpts) *Server
 		done:      seqs[maxBatch:maxBatch],
 		arena:     make([]activeSeq, maxBatch),
 		freeSlots: ints[:maxBatch:maxBatch],
-		ctxs:      ints[maxBatch:maxBatch],
+		ctxs:      ints[maxBatch : maxBatch : 2*maxBatch],
+		pctx:      ints[2*maxBatch : 2*maxBatch : 3*maxBatch],
+		prem:      ints[3*maxBatch : 3*maxBatch : 4*maxBatch],
 		start:     e.clock, now: e.clock, evFrom: e.clock, evEnd: e.clock, open: true,
 	}
 	for i := range s.freeSlots {
@@ -396,9 +401,9 @@ func (e *Engine) Start(maxBatch int, policy SchedPolicy, opts ServeOpts) *Server
 // spent waiting upstream of the engine).
 func (s *Server) Push(tr TimedRequest) {
 	if s.policy == EDF {
-		s.ready.insertEDF(queued{tr, s.now})
+		s.ready.insertEDF(queued{TimedRequest: tr, at: s.now})
 	} else {
-		s.ready.pushBack(queued{tr, s.now})
+		s.ready.pushBack(queued{TimedRequest: tr, at: s.now})
 	}
 }
 
@@ -429,17 +434,80 @@ func (s *Server) OutstandingAt(t float64) int {
 	return n
 }
 
-// Backlog is the work the engine still owes: prompt tokens queued for
-// prefill and output tokens left to decode.
-func (s *Server) Backlog() (prefill, decode int) {
-	for _, q := range s.ready.buf[s.ready.head:] {
-		prefill += q.PromptTokens
-		decode += q.OutputTokens
+// Predict returns a lower bound on the instant tr would finish if pushed
+// at t, from the engine's real state. Work starts after the event in
+// flight and past any stall window. The ready-queue entries the local
+// discipline admits before tr (FCFS: all of them; EDF: those whose
+// deadline key is at or below tr's) are prefilled one at a time, each as
+// a decode slot frees, and a slot frees only when a sequence completes.
+// Every prefill and decode is priced at batch 1 by the engine's own
+// kernel model — a lockstep decode at its largest context — with no
+// throttle stretch.
+//
+// The bound holds on runs without crashes (Abort) and without
+// prefix-cache hits (PrefixCache off, or requests without PromptSyms),
+// whatever the discipline, MaxBatch, load, stall and throttle windows or
+// KV pressure: batching, throttles, later stalls, KV-pressure deferrals
+// and requests pushed after t only delay tr (TestPredictBoundsRealisedFinish
+// checks each). A prefix hit shortens a prefill, so with hits the result
+// is an estimate, not a bound.
+//
+//edgereasoning:hotpath bench=BenchmarkAutoscaleServe
+func (s *Server) Predict(tr TimedRequest, t float64) float64 {
+	e := s.e
+	at := math.Max(t, e.clock)
+	if s.fx != nil {
+		at = s.fx.StallEnd(at)
 	}
+	ctx, rem := s.pctx[:0], s.prem[:0]
 	for _, a := range s.active {
-		decode += a.remaining
+		ctx = append(ctx, a.ctx)
+		rem = append(rem, a.remaining)
 	}
-	return prefill, decode
+	key := edfKey(tr.Deadline)
+	for i := s.ready.head; i < len(s.ready.buf); i++ {
+		q := &s.ready.buf[i]
+		if s.policy == EDF && edfKey(q.Deadline) > key {
+			break
+		}
+		if len(ctx) == s.maxBatch {
+			at, ctx, rem = s.predictFree(at, ctx, rem)
+		}
+		if q.pre == 0 {
+			q.pre = e.prefill(q.PromptTokens).Time
+		}
+		at += q.pre
+		ctx = append(ctx, q.PromptTokens)
+		rem = append(rem, q.OutputTokens)
+	}
+	if len(ctx) == s.maxBatch {
+		at, _, _ = s.predictFree(at, ctx, rem)
+	}
+	s.ctxs = append(s.ctxs[:0], tr.PromptTokens)
+	return at + e.prefill(tr.PromptTokens).Time + e.decodeChunk(s.ctxs, tr.OutputTokens).Time
+}
+
+// predictFree advances Predict's active set, given as parallel context
+// and remaining-token slices, to its earliest completion: every sequence
+// decodes in lockstep, priced at batch 1 and the largest context. It
+// returns the instant and the sequences still running.
+//
+//edgereasoning:hotpath bench=BenchmarkAutoscaleServe
+func (s *Server) predictFree(at float64, ctx, rem []int) (float64, []int, []int) {
+	m, c := rem[0], ctx[0]
+	for i := range rem {
+		m, c = min(m, rem[i]), max(c, ctx[i])
+	}
+	s.ctxs = append(s.ctxs[:0], c)
+	at += s.e.decodeChunk(s.ctxs, m).Time
+	kept := 0
+	for i := range rem {
+		if rem[i] > m {
+			ctx[kept], rem[kept] = ctx[i]+m, rem[i]-m
+			kept++
+		}
+	}
+	return at, ctx[:kept], rem[:kept]
 }
 
 // Served counts the requests recorded as completed so far.
@@ -717,11 +785,7 @@ func (s *Server) admit() bool {
 			Lane: slot, Start: e.clock, End: e.clock + restore})
 	}
 	e.clock += restore
-	res, err := e.prefill(tr.PromptTokens - matched)
-	if err != nil {
-		s.err = err
-		return false
-	}
+	res := e.prefill(tr.PromptTokens - matched)
 	if tra != nil {
 		tra.Record(telemetry.Span{ID: tr.ID, Kind: telemetry.KindPrefill,
 			Lane: slot, Start: e.clock, End: e.clock + res.Time,
@@ -827,18 +891,4 @@ func (s *Server) decode() {
 		}
 	}
 	s.reap()
-}
-
-// CalibrationRates returns the engine's per-token prefill and decode
-// rates at the reference geometry (256-token prompt, 128-step decode at
-// context 256) without touching the clock or the cache — the same
-// numbers a one-request probe run produces, at zero allocation. The
-// fleet's router uses them to estimate service times for shed decisions.
-func (e *Engine) CalibrationRates() (prefillPerTok, decodePerTok float64, err error) {
-	res, err := e.prefill(256)
-	if err != nil {
-		return 0, 0, err
-	}
-	d := e.decodeChunk([]int{256}, 128)
-	return res.Time / 256, d.Time / 128, nil
 }

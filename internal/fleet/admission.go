@@ -29,11 +29,11 @@ const (
 	SJF
 	// Shed dispatches FIFO but drops hopeless deadline work instead of
 	// serving it late: a waiting request whose deadline has already
-	// passed at dispatch time, or whose batch-1 service time on even
-	// the fastest available replica would overrun its deadline (a
-	// certain miss), is routed to Metrics.Dropped (and counted in
-	// Metrics.Shed) rather than stalling the stream. Deadline-less
-	// requests are never shed.
+	// passed at dispatch time, or whose earliest finish any replica that
+	// could take it predicts (engine.Server.Predict, a lower bound)
+	// overruns its deadline — a certain miss — is routed to
+	// Metrics.Dropped (and counted in Metrics.Shed) rather than stalling
+	// the stream. Deadline-less requests are never shed.
 	Shed
 )
 

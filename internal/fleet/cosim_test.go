@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"edgereasoning/internal/engine"
@@ -179,4 +180,119 @@ func arrivalOf(reqs []engine.TimedRequest, id string) float64 {
 		}
 	}
 	return math.NaN()
+}
+
+// TestPredictBoundsFleetDispatch checks engine.Server.Predict where the
+// router relies on it: at every DeadlineAware or Shed dispatch of a
+// no-fault run, the chosen replica's predicted finish — the minimum over
+// the free replicas under DeadlineAware, at or above Shed's certain-miss
+// minimum — must not exceed the finish its engine realises, or Shed
+// would drop work that could have made its deadline.
+func TestPredictBoundsFleetDispatch(t *testing.T) {
+	predicted := map[string]float64{}
+	beforeTake = func(_ *router, r *replica, tr engine.TimedRequest, at float64) {
+		predicted[tr.ID] = r.srv.Predict(tr, at)
+	}
+	defer func() { beforeTake = nil }()
+	modes := []struct {
+		policy    Policy
+		admission Admission
+	}{{DeadlineAware, FIFO}, {DeadlineAware, Shed}, {LeastQueue, Shed}}
+	checked, ratio := 0, 0.0
+	for _, replicas := range []int{2, 4} {
+		for _, mode := range modes {
+			for _, qps := range []float64{1, 3, 8} {
+				for seed := uint64(1); seed <= 4; seed++ {
+					name := fmt.Sprintf("%d/%s/%s/%.0fqps/seed%d", replicas, mode.policy, mode.admission, qps, seed)
+					profile := workload.InteractiveAssistant(qps, 150)
+					profile.DeadlineSlack, profile.DeadlineSlackMax = 2, 10
+					reqs, err := workload.Generate(profile, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					clear(predicted)
+					cfg := Config{Replicas: HeterogeneousReplicas(replicas, DefaultDevices(), smallSpec()),
+						Policy: mode.policy, Admission: mode.admission}
+					m, err := Serve(cfg, reqs)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if len(predicted) != m.Served {
+						t.Fatalf("%s: %d dispatches observed, %d served", name, len(predicted), m.Served)
+					}
+					for _, rm := range m.Replicas {
+						for i, rq := range rm.Requests {
+							arrival := arrivalOf(reqs, rq.ID)
+							finish := arrival + rm.Latencies[i]
+							if p := predicted[rq.ID]; p > finish+1e-9 {
+								t.Fatalf("%s: %s on %s predicted to finish at %.9f, finished at %.9f",
+									name, rq.ID, rm.Name, p, finish)
+							}
+							ratio += (predicted[rq.ID] - arrival) / rm.Latencies[i]
+							checked++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d dispatches, mean predicted/realised latency %.3f", checked, ratio/float64(checked))
+}
+
+// TestDisjointPrefixCacheMatchesOff is the prefix cache's metamorphic
+// invariant: when no two requests share a prompt symbol, turning the
+// cache on — with or without a host tier, at a roomy, a tight and a
+// starved device cache — must change nothing. Retained histories only
+// occupy blocks admission can reclaim, so Served, every latency, the
+// energy and the wall time must be bit-equal to the cache-off run, with
+// no prefix hit.
+func TestDisjointPrefixCacheMatchesOff(t *testing.T) {
+	demotions := 0
+	for seed := uint64(1); seed <= 4; seed++ {
+		reqs, err := workload.Generate(workload.InteractiveAssistant(2.0, 300), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range reqs {
+			syms := make([]uint64, reqs[i].PromptTokens)
+			for j := range syms {
+				syms[j] = uint64(i+1)<<32 | uint64(j)
+			}
+			reqs[i].PromptSyms = syms
+		}
+		for _, blocks := range []int{0, 400, 150} {
+			cfg := Config{Replicas: HeterogeneousReplicas(3, DefaultDevices(), smallSpec()),
+				Policy: LeastQueue, DeviceBlocks: blocks}
+			off, err := Serve(cfg, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, host := range []int{0, 1024} {
+				name := fmt.Sprintf("seed%d/blocks%d/host%d", seed, blocks, host)
+				on := cfg
+				on.PrefixCache, on.HostTierBlocks = true, host
+				m, err := Serve(on, reqs)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if m.PrefixHits != 0 {
+					t.Errorf("%s: %d prefix hits on disjoint prompts", name, m.PrefixHits)
+				}
+				if m.Served != off.Served || m.TotalEnergy != off.TotalEnergy || m.WallTime != off.WallTime {
+					t.Errorf("%s: served/energy/wall %d/%v/%v, cache off %d/%v/%v", name,
+						m.Served, m.TotalEnergy, m.WallTime, off.Served, off.TotalEnergy, off.WallTime)
+				}
+				for i, rm := range m.Replicas {
+					if !reflect.DeepEqual(rm.Latencies, off.Replicas[i].Latencies) {
+						t.Errorf("%s: %s latencies differ from the cache-off run", name, rm.Name)
+					}
+				}
+				demotions += m.TierDemotions
+			}
+		}
+	}
+	if demotions == 0 {
+		t.Fatal("no host-tier demotion on any leg — the starved tier was never exercised")
+	}
+	t.Logf("%d host-tier demotions", demotions)
 }

@@ -9,9 +9,9 @@
 // engine.Server, and the router advances each engine to every decision
 // instant before it decides. Capacity, capacity waits, least-queue
 // depth, the autoscaler's idle timer, the breaker's probe verdict and a
-// crash's abort set all read the engines' real state; only the routing
-// heuristics (DeadlineAware, LatencyWeighted, Shed) price work with a
-// calibrated batch-1 service estimate, as a real load balancer would.
+// crash's abort set all read the engines' real state, and the policies
+// that price work (DeadlineAware, LatencyWeighted, Shed) ask the engines
+// themselves through engine.Server.Predict.
 // Admission is a shared ingress queue with per-replica capacity and a
 // pluggable discipline (Config.Admission): the default FIFO blocks the
 // stream head when every routable replica is at capacity, while EDF and
@@ -257,19 +257,19 @@ type replica struct {
 	// srv is the replica's serve run: the router pushes dispatches into it
 	// and advances it to every decision instant.
 	srv *engine.Server
-	// Calibrated batch-1 rates from the warm-up probe.
-	prefillPerTok float64
-	decodePerTok  float64
-	wrrCredit     float64
+	// weight is the replica's LatencyWeighted share: the inverse of its
+	// engine's predicted service time for a reference request when idle.
+	weight    float64
+	wrrCredit float64
 	// Autoscaler lifecycle: provisionedAt is when the replica joined the
 	// pool; retired marks an autoscaler drain at retiredAt.
 	provisionedAt float64
 	retired       bool
 	retiredAt     float64
 	// fx holds the replica's stall and throttle windows in the engine's own
-	// form: the engine applies them and the router reads them through the
-	// same lookups. tl is the crash timeline and hs the circuit-breaker
-	// state, nil on crash-free replicas and blind fleets.
+	// form: the engine applies them, and health-aware routing reads the
+	// stalls through the same lookup. tl is the crash timeline and hs the
+	// circuit-breaker state, nil on crash-free replicas and blind fleets.
 	fx engine.FaultInjection
 	tl *timeline
 	hs *healthState
@@ -280,9 +280,10 @@ type replica struct {
 
 // newReplica builds the serving engine for one replica config from the
 // fleet's engine template, opens its serve run with the local queue
-// discipline, and calibrates the router's service-time estimate from the
-// engine's own kernel model. CalibrationRates is pure — the clock and
-// cache are untouched. A non-nil trace gives the engine its own track.
+// discipline, and weighs it for LatencyWeighted by the idle engine's
+// predicted service time for a reference interactive request (180-token
+// prompt, 40 output tokens). A non-nil trace gives the engine its own
+// track.
 func newReplica(rc ReplicaConfig, tmpl engine.Config, local engine.SchedPolicy, trace *telemetry.Trace) (*replica, error) {
 	engCfg := tmpl
 	engCfg.Spec, engCfg.Device = rc.Spec, rc.Device
@@ -293,46 +294,11 @@ func newReplica(rc ReplicaConfig, tmpl engine.Config, local engine.SchedPolicy, 
 	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %s: %w", rc.Name, err)
 	}
-	prefillPerTok, decodePerTok, err := eng.CalibrationRates()
-	if err != nil {
-		return nil, fmt.Errorf("fleet: replica %s probe: %w", rc.Name, err)
-	}
-	r := &replica{cfg: rc, eng: eng, prefillPerTok: prefillPerTok, decodePerTok: decodePerTok}
+	r := &replica{cfg: rc, eng: eng}
 	r.srv = eng.Start(rc.MaxBatch, local, engine.ServeOpts{Faults: &r.fx})
-	return r, nil
-}
-
-// estService estimates the batch-1 service time of a request.
-func (r *replica) estService(tr engine.TimedRequest) float64 {
-	return r.prefillPerTok*float64(tr.PromptTokens) + r.decodePerTok*float64(tr.OutputTokens)
-}
-
-// estFinishFor estimates the completion time of tr started at start.
-// Only under health-aware routing does it integrate the replica's
-// throttle windows, steering deadline-critical work toward cool replicas.
-func (r *replica) estFinishFor(tr engine.TimedRequest, start float64) float64 {
-	svc := r.estService(tr)
-	if r.hs != nil && len(r.fx.Throttles) > 0 {
-		return r.finishAfter(start, svc)
-	}
-	return start + svc
-}
-
-// backlog prices the engine's outstanding work — queued prompts to
-// prefill, output tokens left to decode — at the batch-1 rates.
-func (r *replica) backlog() float64 {
-	p, d := r.srv.Backlog()
-	return r.prefillPerTok*float64(p) + r.decodePerTok*float64(d)
-}
-
-// speed is the router's weight for latency-weighted spreading: estimated
-// throughput on a reference interactive request.
-func (r *replica) speed() float64 {
 	ref := engine.TimedRequest{Request: engine.Request{PromptTokens: 180, OutputTokens: 40}}
-	if s := r.estService(ref); s > 0 {
-		return 1 / s
-	}
-	return 0
+	r.weight = 1 / (r.srv.Predict(ref, eng.Clock()) - eng.Clock())
+	return r, nil
 }
 
 // goneAt is the instant from which the replica is gone for good: the
@@ -467,15 +433,8 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 	if ft != nil {
 		ft.faultWindows(router.replicas)
 	}
-	cx := &chaos{ro: router, events: crashes, out: &out, ft: ft,
+	cx := &chaos{ro: router, events: crashes, out: &out, ft: ft, retry: cfg.Retry,
 		keepHost: cfg.Faults != nil && cfg.Faults.HostSurvivesCrash}
-	if cfg.Retry != nil {
-		if err := cfg.Retry.validate(); err != nil {
-			return Metrics{}, err
-		}
-		p := cfg.Retry.withDefaults()
-		cx.retry = &p
-	}
 	if cfg.Health != nil {
 		h := cfg.Health.withDefaults()
 		if err := h.validate(); err != nil {
@@ -545,9 +504,13 @@ func ServeSource(cfg Config, src engine.Source) (Metrics, error) {
 	return out, nil
 }
 
-// afterTake, when non-nil, observes the router right after each dispatch
-// to r at clock t. Tests set it to check engine state mid-run.
-var afterTake func(ro *router, r *replica, t float64)
+// beforeTake and afterTake, when non-nil, observe the router right
+// before and right after each dispatch of tr to r at clock t. Tests set
+// them to check engine state mid-run.
+var (
+	beforeTake func(ro *router, r *replica, tr engine.TimedRequest, t float64)
+	afterTake  func(ro *router, r *replica, t float64)
+)
 
 // dispatch routes the arrival-ordered stream through the ingress queue:
 // requests are pulled from the source and enter the shared queue as the
@@ -696,17 +659,32 @@ func dispatch(ro *router, as *autoscaler, cx *chaos, ft *fleetTracer, admission 
 			}
 		}
 		tr := q.take(q.pick())
-		if admission == Shed && tr.Deadline > 0 && t+ro.bestService(tr, t) > tr.Deadline {
-			// Even starting immediately on the fastest replica that could
-			// take it, the batch-1 service time alone overruns the
-			// deadline — a certain miss. Shed it and keep the capacity for
-			// work that can still make it, before the routing policy
-			// mutates any state for a request that never dispatches.
-			shed(tr)
-			now = t
-			continue
+		candidates := ro.freeAt(t)
+		// One prediction pass serves both Shed's certain-miss check and
+		// DeadlineAware's pick.
+		miss := admission == Shed && tr.Deadline > 0
+		best := -1
+		if miss || ro.policy == DeadlineAware {
+			var finish float64
+			best, finish = ro.earliest(candidates, tr, t)
+			if miss && finish > tr.Deadline {
+				// Even the earliest finish any replica that could take it
+				// predicts overruns the deadline — a certain miss. Shed it
+				// and keep the capacity for work that can still make it,
+				// before the routing policy mutates any state for a request
+				// that never dispatches.
+				shed(tr)
+				now = t
+				continue
+			}
 		}
-		r := ro.chooseAt(tr, t)
+		if ro.policy != DeadlineAware {
+			best = ro.choose(candidates, tr, t)
+		}
+		r := ro.replicas[best]
+		if beforeTake != nil {
+			beforeTake(ro, r, tr, t)
+		}
 		r.take(tr, t)
 		if afterTake != nil {
 			afterTake(ro, r, t)
@@ -866,19 +844,17 @@ func (ro *router) nextFree(t, limit float64) (float64, bool) {
 	return 0, false
 }
 
-// bestService is the fastest batch-1 service estimate among replicas
-// that could take the request at t — the certain-miss lower bound the
-// Shed discipline tests against.
-func (ro *router) bestService(tr engine.TimedRequest, t float64) float64 {
-	best := math.Inf(1)
-	for _, r := range ro.replicas {
-		if ro.free(r, t) {
-			if s := r.estFinishFor(tr, t) - t; s < best {
-				best = s
-			}
+// earliest returns the candidate whose engine predicts the earliest
+// finish for tr dispatched at t, ties to the lower index, and that
+// finish (+Inf without candidates).
+func (ro *router) earliest(candidates []int, tr engine.TimedRequest, t float64) (int, float64) {
+	best, bestFinish := -1, math.Inf(1)
+	for _, i := range candidates {
+		if f := ro.replicas[i].srv.Predict(tr, t); f < bestFinish {
+			best, bestFinish = i, f
 		}
 	}
-	return best
+	return best, bestFinish
 }
 
 // idleReplicas counts replicas that could start a request immediately —
@@ -893,16 +869,16 @@ func (ro *router) idleReplicas(t float64) int {
 	return n
 }
 
-// chooseAt applies the routing policy at time t, when at least one
-// replica is known to have capacity (nextFree said so).
-func (ro *router) chooseAt(tr engine.TimedRequest, t float64) *replica {
+// freeAt lists, in ro.scratch, the replicas that can take a dispatch at
+// t; it is non-empty when nextFree said so.
+func (ro *router) freeAt(t float64) []int {
 	ro.scratch = ro.scratch[:0]
 	for i, r := range ro.replicas {
 		if ro.free(r, t) {
 			ro.scratch = append(ro.scratch, i)
 		}
 	}
-	return ro.replicas[ro.choose(ro.scratch, tr, t)]
+	return ro.scratch
 }
 
 // purge drops sticky-session pins to a replica leaving the pool, so the
@@ -923,7 +899,9 @@ func (ro *router) purge(idx int) {
 }
 
 // choose applies the routing policy over the candidate indices (which
-// are always non-empty and sorted ascending).
+// are always non-empty and sorted ascending). DeadlineAware never gets
+// here: dispatch routes it to router.earliest's pick, the pass Shed's
+// certain-miss check shares.
 func (ro *router) choose(candidates []int, tr engine.TimedRequest, t float64) int {
 	switch ro.policy {
 	case LeastQueue:
@@ -980,7 +958,7 @@ func (ro *router) choose(candidates []int, tr engine.TimedRequest, t float64) in
 		// proportional to replica speed over any window.
 		total := 0.0
 		for _, i := range candidates {
-			w := ro.replicas[i].speed()
+			w := ro.replicas[i].weight
 			ro.replicas[i].wrrCredit += w
 			total += w
 		}
@@ -991,19 +969,6 @@ func (ro *router) choose(candidates []int, tr engine.TimedRequest, t float64) in
 			}
 		}
 		ro.replicas[best].wrrCredit -= total
-		return best
-	case DeadlineAware:
-		// Earliest estimated completion behind the engine's real
-		// outstanding work: the replica most likely to get the request in
-		// under its deadline.
-		best, bestFinish := candidates[0], math.Inf(1)
-		for _, i := range candidates {
-			r := ro.replicas[i]
-			est := r.estFinishFor(tr, t+r.backlog())
-			if est < bestFinish {
-				best, bestFinish = i, est
-			}
-		}
 		return best
 	default: // RoundRobin
 		n := len(ro.replicas)

@@ -19,12 +19,15 @@ const (
 	// requests, breaking ties by index.
 	LeastQueue
 	// LatencyWeighted spreads load proportionally to replica speed via
-	// smooth weighted round-robin: a replica that serves the request
-	// twice as fast receives twice the traffic.
+	// smooth weighted round-robin: a replica whose idle engine predicts
+	// half the service time for a reference request (180-token prompt,
+	// 40 output tokens) receives twice the traffic.
 	LatencyWeighted
-	// DeadlineAware routes to the replica with the earliest estimated
-	// completion for the request — the one most likely to meet its EDF
-	// deadline — and schedules each replica's local queue EDF.
+	// DeadlineAware routes to the replica whose engine predicts the
+	// earliest finish for the request (engine.Server.Predict, a lower
+	// bound from the engine's real queue and batch) — the one most
+	// likely to meet its EDF deadline — and schedules each replica's
+	// local queue EDF.
 	DeadlineAware
 	// SessionAffinity pins each session's turns to one replica — the one
 	// holding the session's prefix KV — falling back least-queue (and

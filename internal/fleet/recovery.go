@@ -16,9 +16,9 @@
 // time it had received, and the device prefix cache is wiped at that
 // instant. Completed requests stay served. The stall and throttle
 // windows live in each replica's engine.FaultInjection, which the engine
-// applies and the router reads through the same lookups. The fault
-// machinery runs on every fleet; a fault-free run simply has no crash
-// events to process.
+// applies and health-aware routing reads through the same stall lookup.
+// The fault machinery runs on every fleet; a fault-free run simply has
+// no crash events to process.
 package fleet
 
 import (
@@ -31,37 +31,22 @@ import (
 )
 
 // RetryPolicy re-admits crash-aborted requests through the shared
-// ingress. A nil Config.Retry drops aborted work on the floor — the
-// no-recovery baseline the drills experiment compares against.
+// ingress: at most maxAttempts dispatches per request, the first
+// included, the first re-admission backing off retryBackoff seconds and
+// every further one twice the last. A nil Config.Retry drops aborted
+// work on the floor — the no-recovery baseline the drills experiment
+// compares against.
 type RetryPolicy struct {
-	// MaxAttempts bounds total dispatch attempts per request, the first
-	// included (default 3).
-	MaxAttempts int
-	// Backoff is the wait before a request's first re-admission,
-	// doubling with every further abort (default 0.5 s).
-	Backoff float64
 	// Hedge skips the backoff on the first re-admission — an immediate
 	// hedged retry against the crashed attempt; later attempts back off
-	// exponentially from Backoff as usual.
+	// exponentially as usual.
 	Hedge bool
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = 0.5
-	}
-	return p
-}
-
-func (p RetryPolicy) validate() error {
-	if math.IsNaN(p.Backoff) || math.IsInf(p.Backoff, 0) || p.Backoff < 0 {
-		return fmt.Errorf("fleet: retry Backoff must be finite and non-negative, got %v", p.Backoff)
-	}
-	return nil
-}
+const (
+	maxAttempts  = 3
+	retryBackoff = 0.5 // seconds
+)
 
 // HealthConfig enables health-aware routing: each replica carries a
 // consecutive-failure circuit breaker, and the router steers new work
@@ -119,34 +104,6 @@ func (tl *timeline) downAt(t float64) (bool, float64) {
 		}
 	}
 	return false, 0
-}
-
-// finishAfter integrates svc seconds of work starting at t across the
-// replica's throttle windows: work inside a window runs Factor× slower,
-// work outside runs at full speed. A flat whole-service stretch would
-// overshoot badly for work that merely grazes a window.
-func (r *replica) finishAfter(t, svc float64) float64 {
-	rem := svc
-	for rem > 0 {
-		f := r.fx.ThrottleAt(t)
-		// Advance to the next window boundary after t; the factor is
-		// constant until then.
-		next := math.Inf(1)
-		for _, w := range r.fx.Throttles {
-			if w.From > t && w.From < next {
-				next = w.From
-			}
-			if w.To > t && w.To < next {
-				next = w.To
-			}
-		}
-		if math.IsInf(next, 1) || t+rem*f <= next {
-			return t + rem*f
-		}
-		rem -= (next - t) / f
-		t = next
-	}
-	return t
 }
 
 // healthState is one replica's circuit breaker. State changes are
@@ -288,7 +245,7 @@ type retryItem struct {
 // run has one; without crash events it never aborts anything.
 type chaos struct {
 	ro *router
-	// retry is the defaulted Config.Retry (nil disables re-admission);
+	// retry is Config.Retry (nil disables re-admission);
 	// keepHost is the schedule's HostSurvivesCrash.
 	retry    *RetryPolicy
 	keepHost bool
@@ -443,11 +400,11 @@ func (cx *chaos) requeue(tr engine.TimedRequest, at float64) {
 	}
 	n := cx.attempts[tr.ID] + 1 // the n-th abort of this request
 	cx.attempts[tr.ID] = n
-	if n+1 > cx.retry.MaxAttempts {
+	if n+1 > maxAttempts {
 		dropIt()
 		return
 	}
-	back := cx.retry.Backoff * math.Pow(2, float64(n-1))
+	back := retryBackoff * math.Pow(2, float64(n-1))
 	if cx.retry.Hedge && n == 1 {
 		back = 0
 	}

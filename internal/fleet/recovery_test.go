@@ -20,12 +20,12 @@ func crashSchedule(r int, t, d float64) *faults.Schedule {
 func TestRetryPolicyRequeueSemantics(t *testing.T) {
 	mk := func(p RetryPolicy) (*chaos, *Metrics) {
 		out := &Metrics{}
-		p = p.withDefaults()
 		return &chaos{retry: &p, out: out}, out
 	}
 
-	// Backoff doubles per abort; MaxAttempts bounds total dispatches.
-	cx, out := mk(RetryPolicy{MaxAttempts: 3, Backoff: 0.5})
+	// The 0.5 s backoff doubles per abort; three attempts bound total
+	// dispatches.
+	cx, out := mk(RetryPolicy{})
 	tr := timed("r1", 0, 64, 40, 0)
 	cx.requeue(tr, 10) // first abort: attempt 2 allowed at 10.5
 	cx.requeue(tr, 20) // second abort: attempt 3 allowed at 21
@@ -52,13 +52,13 @@ func TestRetryPolicyRequeueSemantics(t *testing.T) {
 	}
 	cx.requeue(tr, 20)
 	if got := cx.pending[1].at; got != 21 {
-		t.Errorf("post-hedge re-admission at %v, want 21 (default 0.5 doubled once)", got)
+		t.Errorf("post-hedge re-admission at %v, want 21 (0.5 doubled once)", got)
 	}
 
 	// Deadline budget: a re-admission at or past the deadline is dropped.
-	cx, out = mk(RetryPolicy{Backoff: 2})
-	dl := timed("d1", 0, 64, 40, 11.9)
-	cx.requeue(dl, 10) // re-admit at 12 >= deadline 11.9
+	cx, out = mk(RetryPolicy{})
+	dl := timed("d1", 0, 64, 40, 10.4)
+	cx.requeue(dl, 10) // re-admit at 10.5 >= deadline 10.4
 	if out.Retried != 0 || out.AbortedDropped != 1 {
 		t.Errorf("deadline-budget abort: retried %d abortedDropped %d, want 0/1", out.Retried, out.AbortedDropped)
 	}
@@ -72,16 +72,6 @@ func TestRetryPolicyRequeueSemantics(t *testing.T) {
 	cx.requeue(tr, 5)
 	if out.Retried != 0 || out.AbortedDropped != 1 {
 		t.Errorf("no-retry abort: retried %d abortedDropped %d, want 0/1", out.Retried, out.AbortedDropped)
-	}
-}
-
-// TestRetryValidatedWithoutFaults pins that a malformed retry policy is
-// rejected on every fleet, not only on one that has crashes to retry.
-func TestRetryValidatedWithoutFaults(t *testing.T) {
-	cfg := homogeneousFleet(2, LeastQueue)
-	cfg.Retry = &RetryPolicy{Backoff: math.NaN()}
-	if _, err := Serve(cfg, burst(4, 0.5, 0)); err == nil {
-		t.Fatal("fault-free Serve accepted Retry{Backoff: NaN}")
 	}
 }
 
@@ -432,49 +422,5 @@ func TestCrashTimelineAvailability(t *testing.T) {
 	}
 	if !r.liveAt(12) {
 		t.Error("replica awaiting restart must still count live")
-	}
-}
-
-// TestThrottleAwareFinishEstimates pins the router's thermal-state
-// integration: finishAfter runs work Factor× slower inside throttle
-// windows and at full speed outside, compounding overlaps like the
-// engine's stretch — and estFinishFor only reads it under health-aware
-// routing, so a blind fleet's estimates are untouched.
-func TestThrottleAwareFinishEstimates(t *testing.T) {
-	tl := &replica{fx: engine.FaultInjection{Throttles: []engine.ThrottleWindow{{From: 10, To: 20, Factor: 2}}}}
-	cases := []struct {
-		start, svc, want float64
-	}{
-		{0, 5, 5},   // entirely before the window: full speed
-		{0, 12, 14}, // 10 work to the window edge, 2 more at 2x
-		{12, 4, 20}, // exactly fills the remaining window at 2x
-		{12, 6, 22}, // 4 work drains the window, 2 run free after it
-		{25, 3, 28}, // entirely after the window: full speed
-		{10, 0, 10}, // zero work is free
-	}
-	for _, c := range cases {
-		if got := tl.finishAfter(c.start, c.svc); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("finishAfter(%v, %v) = %v, want %v", c.start, c.svc, got, c.want)
-		}
-	}
-	over := &replica{fx: engine.FaultInjection{Throttles: []engine.ThrottleWindow{
-		{From: 0, To: 10, Factor: 2}, {From: 5, To: 10, Factor: 2},
-	}}}
-	if got := over.fx.ThrottleAt(6); got != 4 {
-		t.Errorf("overlapping windows must compound: throttleAt(6) = %v, want 4", got)
-	}
-	if got := over.finishAfter(5, 1); math.Abs(got-9) > 1e-9 {
-		t.Errorf("finishAfter(5, 1) under compounded 4x = %v, want 9", got)
-	}
-
-	r := tl
-	r.cfg, r.decodePerTok = ReplicaConfig{}.withDefaults(0), 1
-	tr := engine.TimedRequest{Request: engine.Request{OutputTokens: 12}}
-	if got := r.estFinishFor(tr, 0); got != 12 {
-		t.Errorf("blind estFinishFor = %v, want unstretched 12", got)
-	}
-	r.hs = &healthState{cfg: HealthConfig{}.withDefaults()}
-	if got := r.estFinishFor(tr, 0); math.Abs(got-14) > 1e-9 {
-		t.Errorf("health-aware estFinishFor = %v, want throttle-integrated 14", got)
 	}
 }
